@@ -23,3 +23,28 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     sym = symmetrize(np.asarray(m, dtype=float))
     w, v = np.linalg.eigh(sym)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+class SingularInnovation(RuntimeError):
+    """Innovation covariance not invertible (degenerate measurement noise)."""
+
+
+def masked_joseph_update(p: np.ndarray, residual: np.ndarray, mask: np.ndarray,
+                         r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joseph-form Kalman update for the direct measurement H = diag(mask).
+
+    ``residual`` is z - x with any angular wrapping already applied; masked-out
+    fields contribute none. Returns the state correction and the posterior
+    covariance.
+    """
+    r = np.asarray(r, dtype=float)
+    h = np.diag(mask.astype(float))
+    innov_cov = h @ p @ h.T + r
+    try:
+        innov_inv = np.linalg.inv(innov_cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovation("innovation covariance is singular") from exc
+    y = np.where(mask, residual, 0.0)
+    k = p @ h.T @ innov_inv
+    ikh = np.eye(len(p)) - k @ h
+    return k @ y, symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)

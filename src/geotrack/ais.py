@@ -15,8 +15,10 @@ POSITION_SCALE_STANDARD = 1.0 / 600000.0  # raw 1/10000 arc-minute -> degrees
 POSITION_SCALE_LEGACY = 6e-5
 SOG_KNOT_TENTHS_TO_MPS = 0.51444 / 10.0
 
-LON_RAW_SENTINEL = 181 * 600000
-LAT_RAW_SENTINEL = 91 * 600000
+# raw positions beyond these, the 181/91 "not available" values included,
+# decode as missing
+LON_RAW_LIMIT = 180 * 600000
+LAT_RAW_LIMIT = 90 * 600000
 SOG_RAW_SENTINEL = 1023
 HEADING_RAW_SENTINEL = 511
 
@@ -266,8 +268,8 @@ def decode_dynamic(bits: str, legacy_position_scale: bool = False) -> DynamicAis
 
     lon_raw = _signed_bits(bits, *lon_rng)
     lat_raw = _signed_bits(bits, *lat_rng)
-    lon = None if lon_raw == LON_RAW_SENTINEL else lon_raw * scale
-    lat = None if lat_raw == LAT_RAW_SENTINEL else lat_raw * scale
+    lon = None if abs(lon_raw) > LON_RAW_LIMIT else lon_raw * scale
+    lat = None if abs(lat_raw) > LAT_RAW_LIMIT else lat_raw * scale
 
     sog_raw = _bits(bits, *sog_rng)
     sog = None if sog_raw == SOG_RAW_SENTINEL else sog_raw * SOG_KNOT_TENTHS_TO_MPS

@@ -7,7 +7,7 @@ All outputs are header-first CSV; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -76,14 +76,6 @@ _DECODE_CSV_COLUMNS = ["kind", "mmsi", "msg_type", "lon_deg", "lat_deg", "sog_mp
                        "dim_to_starboard_m", "draught_m"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def cmd_decode(args) -> int:
     counters = StreamCounters()
     with _open_input(args.input) as src, _open_output(args.output) as dst:
@@ -93,10 +85,11 @@ def cmd_decode(args) -> int:
             for report in reports:
                 dst.write(json.dumps(_report_to_dict(report)) + "\n")
         else:
-            dst.write(",".join(_DECODE_CSV_COLUMNS) + "\n")
+            writer = csv.writer(dst, lineterminator="\n")
+            writer.writerow(_DECODE_CSV_COLUMNS)
             for report in reports:
                 d = _report_to_dict(report)
-                dst.write(",".join(_fmt(d.get(c)) for c in _DECODE_CSV_COLUMNS) + "\n")
+                writer.writerow([d.get(c) for c in _DECODE_CSV_COLUMNS])
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} unsupported={counters.unsupported}",
           file=sys.stderr)
@@ -187,10 +180,11 @@ def cmd_simulate(args) -> int:
     run = sim.run_comparison(scenario, filters=args.filters)
 
     with _open_output(args.output) as dst:
-        dst.write("t,truth_lon,truth_lat,truth_sog,truth_cog,"
-                  "ukf_lon,ukf_lat,ukf_sog,ukf_cog,"
-                  "ekf_lon,ekf_lat,ekf_sog,ekf_cog,"
-                  "err_ukf_m,err_ekf_m,sigma3_m\n")
+        writer = csv.writer(dst, lineterminator="\n")
+        writer.writerow(["t", "truth_lon", "truth_lat", "truth_sog", "truth_cog",
+                         "ukf_lon", "ukf_lat", "ukf_sog", "ukf_cog",
+                         "ekf_lon", "ekf_lat", "ekf_sog", "ekf_cog",
+                         "err_ukf_m", "err_ekf_m", "sigma3_m"])
         truth = run.truth
         for i in range(len(truth)):
             ukf_cols = (list(run.ukf.est[i]) if run.ukf else [None] * 4)
@@ -201,8 +195,7 @@ def cmd_simulate(args) -> int:
                 run.ekf.sigma3_m[i] if run.ekf else None)
             row = ([truth.t[i], truth.lon[i], truth.lat[i], truth.sog[i],
                     truth.cog[i]] + ukf_cols + ekf_cols + [err_u, err_e, sigma3])
-            dst.write(",".join(_fmt(float(v) if v is not None else None)
-                               for v in row) + "\n")
+            writer.writerow([None if v is None else float(v) for v in row])
     for label, metrics in (("ukf", run.ukf_metrics), ("ekf", run.ekf_metrics)):
         if metrics is None:
             continue
@@ -213,8 +206,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sphere_error_chunk(task) -> list[str]:
-    seed, start, count, max_distance = task
+# Samples are drawn in blocks of this size, block k from seeds seed + k and
+# (seed + k, start); the block size therefore fixes the sample draw.
+SPHERE_ERROR_BLOCK = 20000
+
+
+def _sphere_error_block(seed: int, start: int, count: int,
+                        max_distance: float) -> np.ndarray:
     lon, lat = geodesy.sample_uniform_sphere_arrays(count, seed)
     rng = np.random.default_rng((seed, start))
     bearing = rng.random(count) * 360.0
@@ -231,34 +229,31 @@ def _sphere_error_chunk(task) -> list[str]:
     dlon = (((s_lon - v_lon + 180.0) % 360.0 - 180.0)
             * a_per_deg * np.cos(phi) / np.sqrt(w2))
     err = np.hypot(dlon, dlat)
-    pct = err / distance * 100.0
-    cols = (lat, bearing, distance, err, pct)
-    return [",".join(repr(float(c[i])) for c in cols) for i in range(count)]
+    return np.column_stack((lat, bearing, distance, err, err / distance * 100.0))
 
 
-def sphere_error_rows(samples: int, seed: int, max_distance: float = 500e3,
-                      workers: int = 1, chunk: int = 20000) -> list[str]:
-    tasks = []
-    start = 0
-    while start < samples:
-        count = min(chunk, samples - start)
-        tasks.append((seed + len(tasks), start, count, max_distance))
-        start += count
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sphere_error_chunk, tasks))
-    else:
-        results = [_sphere_error_chunk(t) for t in tasks]
-    return [row for block in results for row in block]
+def sphere_error_rows(samples: int, seed: int,
+                      max_distance: float = 500e3) -> np.ndarray:
+    """Sphere-vs-WGS84 propagation error of ``samples`` random arcs.
+
+    Returns a ``(samples, 5)`` array with the columns lat (deg), bearing (deg),
+    distance (m), error (m) and error as a percentage of distance.
+    """
+    starts = range(0, samples, SPHERE_ERROR_BLOCK)
+    blocks = [_sphere_error_block(seed + k, start,
+                                  min(SPHERE_ERROR_BLOCK, samples - start),
+                                  max_distance)
+              for k, start in enumerate(starts)]
+    return np.concatenate(blocks) if blocks else np.empty((0, 5))
 
 
 def cmd_study(args) -> int:
     with _open_output(args.output) as dst:
         if args.kind == "sphere-error":
             dst.write("lat_deg,bearing_deg,distance_m,error_m,normalized_error_pct\n")
-            for row in sphere_error_rows(args.samples, args.seed,
-                                         args.max_distance, args.workers):
-                dst.write(row + "\n")
+            # row by row, so that no Python copy of the whole array is held
+            for row in sphere_error_rows(args.samples, args.seed, args.max_distance):
+                dst.write(",".join(map(repr, row.tolist())) + "\n")
         elif args.kind == "plane-error":
             dst.write("L1_m,L2_m,gamma_rad,delta_L_m,delta_s_m,epsilon_m\n")
             radii = np.linspace(0.0, args.max_distance, args.grid)
@@ -312,7 +307,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--max-distance", type=float, default=500e3)
     p.add_argument("--grid", type=int, default=25)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_study)
     return parser

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import symmetrize
+from ._linalg import masked_joseph_update, symmetrize
 from .geodesy import WGS84_E2 as _E2, WGS84_SEMI_MAJOR_M, GeoPoint
-from .ukf import Measurement, SingularInnovation
+from .ukf import Measurement
 
 # Boston Harbor origin used for the head-to-head comparison runs.
 DEFAULT_ORIGIN = GeoPoint(-71.0237, 42.3469)
@@ -134,22 +134,11 @@ def ekf_update(state: PlanarState, p: np.ndarray, meas: Measurement,
                r: np.ndarray) -> tuple[PlanarState, np.ndarray]:
     """Masked Joseph-form update; measurement already in the planar frame
     (north m, east m, SOG m/s, course rad)."""
-    r = np.asarray(r, dtype=float)
-    h = np.diag(meas.mask.astype(float))
     x = state.as_vector()
-    innov_cov = h @ p @ h.T + r
-    try:
-        innov_inv = np.linalg.inv(innov_cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation("innovation covariance is singular") from exc
-    y = meas.z - h @ x
+    y = meas.z - x
     y[3] = (y[3] + math.pi) % (2.0 * math.pi) - math.pi
-    y[~meas.mask] = 0.0
-    k = p @ h.T @ innov_inv
-    x_post = x + k @ y
-    ikh = np.eye(4) - k @ h
-    p_post = symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)
-    return PlanarState.from_vector(x_post), p_post
+    dx, p_post = masked_joseph_update(p, y, meas.mask, r)
+    return PlanarState.from_vector(x + dx), p_post
 
 
 def measurement_to_planar(meas: Measurement, plane: TangentPlane) -> Measurement:

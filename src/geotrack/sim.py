@@ -213,15 +213,15 @@ class ComparisonRun:
     ekf_metrics: RunMetrics | None
 
 
-def run_comparison(scenario: Scenario, filters: str = "both",
-                   filter_rate_hz: float = 1.0) -> ComparisonRun:
-    """Run the geodetic and planar filters on one shared measurement stream."""
+def run_comparison(scenario: Scenario, filters: str = "both") -> ComparisonRun:
+    """Run the geodetic and planar filters on one shared measurement stream,
+    stepping both at the truth rate."""
     if filters not in ("ukf", "ekf", "both"):
         raise ValueError("filters must be 'ukf', 'ekf', or 'both'")
     truth = generate_truth(scenario)
-    measurements = dict()
-    for tm, meas in sample_ais(truth, scenario):
-        measurements[round(tm * filter_rate_hz)] = meas
+    # reports keyed by truth index
+    measurements = {round(tm * scenario.truth_rate_hz): meas
+                    for tm, meas in sample_ais(truth, scenario)}
 
     first_key = min(measurements)
     first_meas = measurements[first_key]
@@ -233,10 +233,8 @@ def run_comparison(scenario: Scenario, filters: str = "both",
                                             plane=TangentPlane(scenario.start))
            if run_ekf else None)
 
-    dt = 1.0 / filter_rate_hz
-    stride = int(round((1.0 / scenario.truth_rate_hz) / dt)) or 1
+    dt = 1.0 / scenario.truth_rate_hz
     n_steps = len(truth)
-    idx_scale = int(round(scenario.truth_rate_hz * dt))
 
     def new_record():
         return FilterRunRecord(truth.t.copy(), np.zeros((n_steps, 4)),
@@ -264,29 +262,27 @@ def run_comparison(scenario: Scenario, filters: str = "both",
         rec_ekf.cov_trace[i] = np.trace(ekf.p)
 
     if run_ukf:
-        record_ukf(first_key * idx_scale if idx_scale else first_key)
+        record_ukf(first_key)
     if run_ekf:
-        record_ekf(first_key * idx_scale if idx_scale else first_key)
+        record_ekf(first_key)
 
-    for k in range(first_key + 1, int(round(truth.t[-1] / dt)) + 1):
+    for i in range(first_key + 1, n_steps):
         if run_ukf:
             ukf.predict(dt)
         if run_ekf:
             ekf.predict(dt)
-        meas = measurements.get(k)
+        meas = measurements.get(i)
         if meas is not None:
             if run_ukf:
                 ukf.update(meas)
             if run_ekf:
                 ekf.update(meas)
-        i = k * idx_scale
-        if i < n_steps:
-            if run_ukf:
-                record_ukf(i)
-            if run_ekf:
-                record_ekf(i)
+        if run_ukf:
+            record_ukf(i)
+        if run_ekf:
+            record_ekf(i)
 
-    scored = np.arange(first_key * (idx_scale or 1), n_steps)
+    scored = np.arange(first_key, n_steps)
     ukf_metrics = _metrics(truth, rec_ukf, scored) if run_ukf else None
     ekf_metrics = _metrics(truth, rec_ekf, scored) if run_ekf else None
     return ComparisonRun(scenario, truth, rec_ukf, rec_ekf, ukf_metrics, ekf_metrics)

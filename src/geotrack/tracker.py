@@ -29,9 +29,15 @@ class Track:
 
 
 def measurement_from_report(report: DynamicAisReport) -> Measurement:
-    """Map a decoded dynamic report onto the filter's masked measurement."""
-    return Measurement.from_fields(lon=report.lon, lat=report.lat,
-                                   sog=report.sog, cog=report.cog)
+    """Map a decoded dynamic report onto the filter's masked measurement.
+
+    A position at a pole is dropped: the longitude process noise is
+    undefined there.
+    """
+    lon, lat = report.lon, report.lat
+    if lat is not None and abs(lat) >= 90.0:
+        lon = lat = None
+    return Measurement.from_fields(lon=lon, lat=lat, sog=report.sog, cog=report.cog)
 
 
 class TrackTable:
@@ -67,13 +73,13 @@ class TrackTable:
 
     def ingest(self, report: DynamicAisReport, t: float) -> str:
         """Route one report; returns the applied event kind."""
+        meas = measurement_from_report(report)
         track = self.tracks.get(report.mmsi)
         if track is None:
-            if report.lon is None or report.lat is None:
+            if not (meas.mask[0] and meas.mask[1]):
                 # cannot seed a position estimate from a positionless report
                 self.skipped_reports += 1
                 return "skipped"
-            meas = measurement_from_report(report)
             filt = GeodeticUkf.from_first_measurement(meas, timestamp=t,
                                                       **self._filter_kwargs)
             self.tracks[report.mmsi] = Track(report.mmsi, filt, t, t)
@@ -83,7 +89,7 @@ class TrackTable:
             return "dropped_stale"
         if t >= track.last_update:
             self._predict_to(track, t)
-        track.filt.update(measurement_from_report(report))
+        track.filt.update(meas)
         track.last_seen = t
         return "updated"
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import project_psd, sqrt_psd, symmetrize
+from ._linalg import masked_joseph_update, project_psd, sqrt_psd, symmetrize
+from ._linalg import SingularInnovation  # noqa: F401  (raised by update)
 from .geodesy import (EarthMode, EarthModel, GeoPoint, normalize_lon,
                       propagate_sphere_arrays, vincenty_direct_arrays,
                       wrap_bearing)
@@ -30,10 +31,6 @@ _PSD_TOL = 1e-9
 
 class FactorizationFailure(RuntimeError):
     """Covariance too indefinite to factor even after PSD projection."""
-
-
-class SingularInnovation(RuntimeError):
-    """Innovation covariance not invertible (degenerate measurement noise)."""
 
 
 def wrap_residual(predicted_cog: float, measured_cog: float) -> float:
@@ -183,27 +180,13 @@ def predict(belief: GaussianBelief, model: MotionModel, dt: float, q: np.ndarray
 
 def update(prior: GaussianBelief, meas: Measurement, r: np.ndarray) -> GaussianBelief:
     """Joseph-form linear update with masked fields carrying zero residual."""
-    r = np.asarray(r, dtype=float)
-    h = np.diag(meas.mask.astype(float))
-    p = symmetrize(prior.cov)
     x = prior.mean.as_vector()
-
-    innov_cov = h @ p @ h.T + r
-    try:
-        innov_inv = np.linalg.inv(innov_cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation("innovation covariance is singular") from exc
-
-    y = meas.z - h @ x
+    y = meas.z - x
     y[0] = wrap_residual(0.0, y[0])
     y[3] = wrap_residual(0.0, y[3])
-    y[~meas.mask] = 0.0
-
-    k = p @ h.T @ innov_inv
-    x_post = x + k @ y
+    dx, p_post = masked_joseph_update(symmetrize(prior.cov), y, meas.mask, r)
+    x_post = x + dx
     x_post[3] %= 360.0
-    ikh = np.eye(N_STATES) - k @ h
-    p_post = symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)
     return GaussianBelief(GeodeticState.from_vector(x_post), p_post, prior.timestamp)
 
 

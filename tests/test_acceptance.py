@@ -53,8 +53,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         rows = sphere_error_rows(100_000, seed=0)
         elapsed = time.perf_counter() - t0
-        data = np.array([[float(v) for v in row.split(",")] for row in rows])
-        dist, err, pct = data[:, 2], data[:, 3], data[:, 4]
+        dist, err, pct = rows[:, 2], rows[:, 3], rows[:, 4]
         short = dist <= 200.0
         criterion(1, [
             (f"sample count {len(rows)} >= 1e5", len(rows) >= 100_000),

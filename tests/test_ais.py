@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import make_ais_corpus as enc
 from geotrack import ais
 from geotrack.ais import (
     DynamicAisReport,
@@ -210,6 +211,13 @@ class TestScaleOptions:
                 assert 0.0 <= r.cog < 360.0
             if r.timestamp_sec is not None:
                 assert 0 <= r.timestamp_sec <= 59
+
+    def test_out_of_range_latitude_maps_to_missing(self):
+        bits = enc.encode_class_a(1, 366999784, 70, int(-70.9 * 600000),
+                                  95 * 600000, 900, 90, 0)
+        report = decode_payload(bits)
+        assert report.lat is None
+        assert report.lon == pytest.approx(-70.9)
 
 
 class TestFuzzing:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geotrack import geodesy
+from geotrack.cli import sphere_error_rows
 from geotrack.geodesy import (
     DomainError,
     GeoPoint,
@@ -178,18 +178,7 @@ class TestUniformSampler:
 class TestSphericalErrorStatistics:
     def test_normalized_error_band(self):
         # reduced-size version of the full acceptance study
-        n = 20000
-        lon, lat = sample_uniform_sphere_arrays(n, 5)
-        rng = np.random.default_rng(55)
-        brg = rng.uniform(0, 360, n)
-        dist = np.exp(rng.uniform(np.log(1.0), np.log(5e5), n))
-        s_lon, s_lat = propagate_sphere_arrays(lon, lat, brg, dist)
-        v_lon, v_lat, _, _ = vincenty_direct_arrays(lon, lat, brg, dist)
-        m = math.pi / 180.0 * geodesy.WGS84_SEMI_MAJOR_M
-        err = np.hypot((s_lat - v_lat) * m,
-                       ((s_lon - v_lon + 180) % 360 - 180) * m
-                       * np.cos(np.radians(v_lat)))
-        pct = err / dist * 100.0
+        pct = sphere_error_rows(20000, seed=5)[:, 4]
         assert pct.max() <= 0.58
         assert np.percentile(pct, 75) <= 0.43
 

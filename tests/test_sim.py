@@ -139,6 +139,18 @@ class TestComparisonRuns:
         with pytest.raises(ValueError):
             run_comparison(sc, filters="nope")
 
+    @pytest.mark.parametrize("rate_hz", [2.0, 0.5])
+    def test_every_truth_step_filled_and_scored(self, rate_hz):
+        sc = replace(boston_departure_scenario(seed=0), truth_rate_hz=rate_hz)
+        run = run_comparison(sc)
+        assert len(run.truth) == round(sc.duration * rate_hz)
+        for rec, metrics in ((run.ukf, run.ukf_metrics), (run.ekf, run.ekf_metrics)):
+            assert np.all(rec.cov_trace > 0.0)
+            # an unfilled row would sit at (0, 0), thousands of km away
+            assert rec.err_pos_m.max() < 100.0
+            assert metrics.rmse_pos_m == pytest.approx(
+                np.sqrt(np.mean(rec.err_pos_m ** 2)))
+
     def test_run_determinism(self):
         sc = boston_departure_scenario(seed=3)
         a, b = run_comparison(sc), run_comparison(sc)

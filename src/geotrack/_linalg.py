@@ -6,23 +6,23 @@ import numpy as np
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix (Frobenius) via eigenvalue clipping at zero."""
-    sym = symmetrize(np.asarray(m, dtype=float))
-    w, v = np.linalg.eigh(sym)
-    if w[0] >= 0.0:
-        return sym
-    return symmetrize((v * np.clip(w, 0.0, None)) @ v.T)
+    """Nearest PSD matrix (Frobenius) of a matrix or of each in a stack.
 
-
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Symmetric matrix square root; tolerates zero eigenvalues."""
+    Eigenvalues are clipped at zero; only the matrices with a negative
+    eigenvalue are decomposed.
+    """
     sym = symmetrize(np.asarray(m, dtype=float))
-    w, v = np.linalg.eigh(sym)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    neg = np.linalg.eigvalsh(sym)[..., 0] < 0.0
+    if neg.any():
+        w, v = np.linalg.eigh(sym[neg])
+        sym[neg] = symmetrize((v * np.maximum(w, 0.0)[..., None, :])
+                              @ v.swapaxes(-1, -2))
+    return sym
 
 
 class SingularInnovation(RuntimeError):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 POSITION_SCALE_STANDARD = 1.0 / 600000.0  # raw 1/10000 arc-minute -> degrees
-POSITION_SCALE_LEGACY = 6e-5
 SOG_KNOT_TENTHS_TO_MPS = 0.51444 / 10.0
 
 # raw positions beyond these, the 181/91 "not available" values included,
@@ -251,7 +250,7 @@ def message_type(bits: str) -> int:
     return _bits(bits, 0, 5)
 
 
-def decode_dynamic(bits: str, legacy_position_scale: bool = False) -> DynamicAisReport:
+def decode_dynamic(bits: str) -> DynamicAisReport:
     """Decode a Class A (1/2/3) or Class B (18) position report."""
     mtype = message_type(bits)
     if mtype not in DYNAMIC_TYPES:
@@ -264,12 +263,11 @@ def decode_dynamic(bits: str, legacy_position_scale: bool = False) -> DynamicAis
         cog_rng, hdg_rng, ts_rng = (116, 127), (128, 136), (137, 142)
 
     mmsi = _bits(bits, 8, 37)
-    scale = POSITION_SCALE_LEGACY if legacy_position_scale else POSITION_SCALE_STANDARD
 
     lon_raw = _signed_bits(bits, *lon_rng)
     lat_raw = _signed_bits(bits, *lat_rng)
-    lon = None if abs(lon_raw) > LON_RAW_LIMIT else lon_raw * scale
-    lat = None if abs(lat_raw) > LAT_RAW_LIMIT else lat_raw * scale
+    lon = None if abs(lon_raw) > LON_RAW_LIMIT else lon_raw * POSITION_SCALE_STANDARD
+    lat = None if abs(lat_raw) > LAT_RAW_LIMIT else lat_raw * POSITION_SCALE_STANDARD
 
     sog_raw = _bits(bits, *sog_rng)
     sog = None if sog_raw == SOG_RAW_SENTINEL else sog_raw * SOG_KNOT_TENTHS_TO_MPS
@@ -316,13 +314,13 @@ def decode_static(bits: str) -> StaticAisReport:
     )
 
 
-def decode_payload(bits: str, legacy_position_scale: bool = False):
+def decode_payload(bits: str):
     """Dispatch an assembled payload to the right field decoder."""
     if len(bits) < 6:
         raise TruncatedPayload("payload shorter than the type field")
     mtype = message_type(bits)
     if mtype in DYNAMIC_TYPES:
-        return decode_dynamic(bits, legacy_position_scale)
+        return decode_dynamic(bits)
     if mtype in STATIC_TYPES:
         return decode_static(bits)
     raise UnsupportedMessageType(f"message type {mtype} not handled")
@@ -337,8 +335,7 @@ class StreamCounters:
     pending_fragments: int = 0
 
 
-def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None,
-                 legacy_position_scale: bool = False):
+def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None):
     """Decode a stream of NMEA lines, yielding reports and counting failures.
 
     Never raises on bad input; every malformed or unsupported line is counted
@@ -356,7 +353,7 @@ def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None,
             if bits is None:
                 counters.pending_fragments += 1
                 continue
-            report = decode_payload(bits, legacy_position_scale)
+            report = decode_payload(bits)
         except UnsupportedMessageType:
             counters.unsupported += 1
             continue

@@ -79,8 +79,7 @@ _DECODE_CSV_COLUMNS = ["kind", "mmsi", "msg_type", "lon_deg", "lat_deg", "sog_mp
 def cmd_decode(args) -> int:
     counters = StreamCounters()
     with _open_input(args.input) as src, _open_output(args.output) as dst:
-        reports = ais.decode_lines(src, counters,
-                                   legacy_position_scale=args.legacy_position_scale)
+        reports = ais.decode_lines(src, counters)
         if args.format == "jsonl":
             for report in reports:
                 dst.write(json.dumps(_report_to_dict(report)) + "\n")
@@ -125,7 +124,6 @@ def _timed_reports(lines, counters: StreamCounters):
     nmea_lines = [p for _, p in buffered]
     times = [t for t, _ in buffered]
     idx = 0
-    line_of_report = []
 
     def _tracking_lines():
         nonlocal idx
@@ -135,7 +133,6 @@ def _timed_reports(lines, counters: StreamCounters):
 
     for report in ais.decode_lines(_tracking_lines(), counters):
         decoded.append((times[idx], report))
-        line_of_report.append(idx)
 
     for t, report in decoded:
         if not isinstance(report, DynamicAisReport):
@@ -156,8 +153,10 @@ def cmd_track(args) -> int:
         for t, report in _timed_reports(src, counters):
             if clock is None:
                 clock = math.floor(t)
-            # drive 1 Hz ticks of the replay clock up to this report's time
+            # drive ticks of the replay clock up to this report's time
             while clock < t:
+                if not table.tracks:  # nothing to predict: jump to the last tick before t
+                    clock += max(0, math.ceil((t - clock) * args.rate) - 1) / args.rate
                 clock += 1.0 / args.rate
                 for mmsi, belief in table.tick(min(clock, t)):
                     m = belief.mean
@@ -166,7 +165,8 @@ def cmd_track(args) -> int:
             table.ingest(report, t)
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} tracks={len(table.tracks)} "
-          f"stale_drops={table.stale_drops}", file=sys.stderr)
+          f"stale_drops={table.stale_drops} skipped={table.skipped_reports} "
+          f"retired={table.retired}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -283,8 +283,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", "-i", default="-", help="NMEA file or '-' for stdin")
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p.add_argument("--legacy-position-scale", action="store_true",
-                   help="use the 6e-5 deg/raw position factor")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("track", help="run per-MMSI filters over an NMEA stream")

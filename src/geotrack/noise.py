@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import project_psd, symmetrize
+from ._linalg import project_psd
 from .geodesy import DomainError
 
 STANDARD_GRAVITY = 9.80665
@@ -48,34 +48,37 @@ class ProcessNoiseParams:
             raise DomainError("process noise parameters must be strictly positive")
 
 
-def build_process_noise(params: ProcessNoiseParams, lat_deg: float, cog_deg: float,
-                        dt: float) -> np.ndarray:
-    """Assemble the 4x4 process noise covariance for one prediction step.
+def build_process_noise(params: ProcessNoiseParams, lat_deg, cog_deg, dt) -> np.ndarray:
+    """Assemble the 4x4 process noise covariance for one prediction step, or
+    a stack of them when ``lat_deg``, ``cog_deg`` and ``dt`` are arrays.
 
     The longitude std dev grows as 1/cos(lat) so that a fixed metric
     disturbance maps to the correct angular variance at any latitude.  The
     speed-position cross terms flip influence with the instantaneous course.
-    The result is symmetrized and PSD-projected.
     """
-    if abs(lat_deg) >= 90.0:
-        raise DomainError("|lat| must be < 90 for longitude process noise")
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    lat = math.radians(lat_deg)
-    cog = math.radians(cog_deg)
-    sigma_lon = params.zeta0 / (params.lon_scale * math.cos(lat))
+    lat_deg, dt = np.asarray(lat_deg, dtype=float), np.asarray(dt, dtype=float)
+    if not ((np.abs(lat_deg) < 90.0) & (dt > 0)).all():
+        raise DomainError("process noise needs |lat| < 90 and a positive dt")
+    cog = np.radians(cog_deg)
+    sigma_lon = params.zeta0 / (params.lon_scale * np.cos(np.radians(lat_deg)))
     sigma_lat = params.zeta0 / params.lon_scale
 
     pos_dt = dt if params.position_dt_factor else 1.0
-    cross_lon = (sigma_lon * math.sin(cog)) ** 2
-    cross_lat = (sigma_lat * math.cos(cog)) ** 2
-    q = np.array([
-        [sigma_lon ** 2 * pos_dt, 0.0, cross_lon, 0.0],
-        [0.0, sigma_lat ** 2 * pos_dt, cross_lat, 0.0],
-        [cross_lon, cross_lat, params.sigma_sog ** 2, 0.0],
-        [0.0, 0.0, 0.0, params.sigma_cog ** 2],
-    ]) * dt
-    return project_psd(symmetrize(q))
+    q = np.zeros(np.broadcast(lat_deg, dt).shape + (4, 4))
+    q[..., 0, 0] = sigma_lon ** 2 * pos_dt
+    q[..., 1, 1] = sigma_lat ** 2 * pos_dt
+    q[..., 0, 2] = q[..., 2, 0] = (sigma_lon * np.sin(cog)) ** 2
+    q[..., 1, 2] = q[..., 2, 1] = (sigma_lat * np.cos(cog)) ** 2
+    q[..., 2, 2] = params.sigma_sog ** 2
+    q[..., 3, 3] = params.sigma_cog ** 2
+    q *= dt[..., None, None]
+    # the COG block is decoupled, so Q is PSD iff the Schur complement of its
+    # position block, times q00 q11 > 0, is non-negative; project the rest
+    q00, q11 = q[..., 0, 0], q[..., 1, 1]
+    bad = q[..., 2, 2] * q00 * q11 < q[..., 0, 2] ** 2 * q11 + q[..., 1, 2] ** 2 * q00
+    if bad.any():
+        q[bad] = project_psd(q[bad])
+    return q
 
 
 @dataclass(frozen=True)

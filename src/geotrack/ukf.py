@@ -2,7 +2,8 @@
 
 Prediction pushes symmetric sigma points through the great-circle state update;
 the measurement model is linear, so the update is a conventional Kalman step in
-Joseph form with per-field masking for incomplete reports.
+Joseph form with per-field masking for incomplete reports.  ``predict_arrays``
+steps a stack of beliefs at once; a single belief is the stack without its axis.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import masked_joseph_update, project_psd, sqrt_psd, symmetrize
+from ._linalg import masked_joseph_update, project_psd, symmetrize
 from ._linalg import SingularInnovation  # noqa: F401  (raised by update)
 from .geodesy import (EarthMode, EarthModel, GeoPoint, normalize_lon,
                       propagate_sphere_arrays, vincenty_direct_arrays,
@@ -22,15 +23,15 @@ N_STATES = 4
 SIGMA_W0 = 1.0 - N_STATES / 3.0           # -1/3 for the 4-state filter
 SIGMA_WI = (1.0 - SIGMA_W0) / (2 * N_STATES)
 SIGMA_SCALE = N_STATES / (1.0 - SIGMA_W0)  # 3.0
+SIGMA_WEIGHTS = np.array([SIGMA_W0] + [SIGMA_WI] * (2 * N_STATES))
+SIGMA_WEIGHTS.flags.writeable = False
 
 # Wide-but-proper prior that a new track fuses its first report into.
 INITIAL_COV = np.diag([1e-4 ** 2, 1e-4 ** 2, 1.0 ** 2, 100.0 ** 2])
 
-_PSD_TOL = 1e-9
-
 
 class FactorizationFailure(RuntimeError):
-    """Covariance too indefinite to factor even after PSD projection."""
+    """Covariance that cannot be factored because it is not finite."""
 
 
 def wrap_residual(predicted_cog: float, measured_cog: float) -> float:
@@ -103,47 +104,52 @@ class Measurement:
 
 @dataclass
 class SigmaPointSet:
-    points: np.ndarray   # (9, 4)
+    points: np.ndarray   # (..., 9, 4)
     weights: np.ndarray  # (9,)
 
 
-def sigma_points(belief: GaussianBelief) -> SigmaPointSet:
-    """Symmetric 2N+1 sigma point set around the belief mean."""
-    cov = symmetrize(belief.cov)
-    if np.linalg.eigvalsh(cov)[0] < -_PSD_TOL:
-        cov = project_psd(cov)
-        if np.linalg.eigvalsh(cov)[0] < -_PSD_TOL:
-            raise FactorizationFailure("covariance is indefinite")
-    root = sqrt_psd(SIGMA_SCALE * cov)
-    mean = belief.mean.as_vector()
-    points = np.empty((2 * N_STATES + 1, N_STATES))
-    points[0] = mean
-    for i in range(N_STATES):
-        points[1 + i] = mean + root[:, i]
-        points[1 + N_STATES + i] = mean - root[:, i]
-    weights = np.full(2 * N_STATES + 1, SIGMA_WI)
-    weights[0] = SIGMA_W0
-    return SigmaPointSet(points, weights)
+def sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
+    """Symmetric 2N+1 sigma points ``(..., 9, 4)`` around each mean of a stack.
+
+    One ``eigh`` of ``SIGMA_SCALE * cov`` per matrix gives both the PSD repair
+    (negative eigenvalues clipped at zero) and the symmetric root, whose
+    columns are the point offsets.
+    """
+    cov = symmetrize(np.asarray(cov, dtype=float))
+    if not np.isfinite(cov).all():
+        raise FactorizationFailure("covariance is not finite")
+    w, v = np.linalg.eigh(SIGMA_SCALE * cov)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.swapaxes(-1, -2)
+    offsets = root.swapaxes(-1, -2)
+    mean = np.asarray(mean, dtype=float)[..., None, :]
+    points = np.concatenate([mean, mean + offsets, mean - offsets], axis=-2)
+    return SigmaPointSet(points, SIGMA_WEIGHTS)
 
 
-def _propagate_points(points: np.ndarray, model: MotionModel, dt: float,
+def _propagate_points(points: np.ndarray, model: MotionModel, dt,
                       earth: EarthModel) -> np.ndarray:
-    """Push raw sigma point vectors through the geodetic state update."""
-    lon, lat, sog, cog = points.T
+    """Push state vectors ``(..., 4)`` through the geodetic state update;
+    ``dt`` broadcasts against ``points[..., 0]``."""
+    lon, lat, sog, cog = (points[..., i] for i in range(N_STATES))
     dist = sog * dt
-    brg = cog.copy()
     # a sigma point offset can drive SOG negative: travel the reverse bearing
-    neg = dist < 0
+    brg = np.where(dist < 0, (cog + 180.0) % 360.0, cog)
     dist = np.abs(dist)
-    brg[neg] = (brg[neg] + 180.0) % 360.0
+    out = np.empty(points.shape)  # C order: the weighted means sum in one fixed order
     if earth.mode is EarthMode.ELLIPSOID:
-        lon2, lat2, _, _ = vincenty_direct_arrays(
+        out[..., 0], out[..., 1], _, _ = vincenty_direct_arrays(
             lon, lat, brg, dist, earth.semi_major, earth.flattening)
     else:
-        lon2, lat2 = propagate_sphere_arrays(lon, lat, brg, dist, earth.sphere_radius)
-    sog2 = np.maximum(0.0, sog + model.accel * dt)
-    cog2 = (cog + model.turn_rate * dt) % 360.0
-    return np.column_stack([lon2, lat2, sog2, cog2])
+        out[..., 0], out[..., 1] = propagate_sphere_arrays(lon, lat, brg, dist,
+                                                           earth.sphere_radius)
+    out[..., 2] = np.maximum(0.0, sog + model.accel * dt)
+    out[..., 3] = (cog + model.turn_rate * dt) % 360.0
+    return out
+
+
+def _weighted_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``weights @ x`` as one dot product per row: a stacked row sums as one belief."""
+    return (weights @ x[..., None])[..., 0]
 
 
 def _weighted_mean(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -151,30 +157,40 @@ def _weighted_mean(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     mean = weights @ points
     # longitude: average offsets relative to the central point to stay
     # well-defined across the dateline seam
-    dlon = (points[:, 0] - points[0, 0] + 180.0) % 360.0 - 180.0
-    mean[0] = normalize_lon(points[0, 0] + weights @ dlon)
-    cog = np.radians(points[:, 3])
-    mean[3] = np.degrees(np.arctan2(weights @ np.sin(cog), weights @ np.cos(cog))) % 360.0
+    dlon = (points[..., 0] - points[..., :1, 0] + 180.0) % 360.0 - 180.0
+    mean[..., 0] = normalize_lon(points[..., 0, 0] + _weighted_sum(weights, dlon))
+    cog = np.radians(points[..., 3])
+    mean[..., 3] = np.degrees(np.arctan2(_weighted_sum(weights, np.sin(cog)),
+                                         _weighted_sum(weights, np.cos(cog)))) % 360.0
     return mean
 
 
 def _residuals(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    res = points - mean
-    res[:, 0] = (res[:, 0] + 180.0) % 360.0 - 180.0
-    res[:, 3] = (res[:, 3] + 180.0) % 360.0 - 180.0
+    res = points - mean[..., None, :]
+    res[..., 0] = (res[..., 0] + 180.0) % 360.0 - 180.0
+    res[..., 3] = (res[..., 3] + 180.0) % 360.0 - 180.0
     return res
+
+
+def predict_arrays(mean: np.ndarray, cov: np.ndarray, model: MotionModel, dt,
+                   q: np.ndarray, earth: EarthModel | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """A priori means ``(..., 4)`` and covariances ``(..., 4, 4)`` of a stack of
+    beliefs, each stepped by its own ``dt`` and ``q``; rows are independent."""
+    earth = earth or EarthModel.sphere()
+    sp = sigma_points(mean, cov)
+    transformed = _propagate_points(sp.points, model, np.asarray(dt)[..., None], earth)
+    mean = _weighted_mean(transformed, sp.weights)
+    res = _residuals(transformed, mean)
+    cov = (sp.weights[:, None] * res).swapaxes(-1, -2) @ res + q
+    return mean, project_psd(cov)
 
 
 def predict(belief: GaussianBelief, model: MotionModel, dt: float, q: np.ndarray,
             earth: EarthModel | None = None) -> GaussianBelief:
     """A priori belief after propagating every sigma point through dt seconds."""
-    earth = earth or EarthModel.sphere()
-    sp = sigma_points(belief)
-    transformed = _propagate_points(sp.points, model, dt, earth)
-    mean = _weighted_mean(transformed, sp.weights)
-    res = _residuals(transformed, mean)
-    cov = (sp.weights[:, None] * res).T @ res + np.asarray(q, dtype=float)
-    cov = project_psd(symmetrize(cov))
+    mean, cov = predict_arrays(belief.mean.as_vector(), belief.cov, model, dt,
+                               np.asarray(q, dtype=float), earth)
     return GaussianBelief(GeodeticState.from_vector(mean), cov, belief.timestamp + dt)
 
 

@@ -104,7 +104,7 @@ class TestAcceptance:
     def test_criterion_03_sigma_point_construction(self):
         b = GaussianBelief(GeodeticState(-71.0, 42.0, 7.0, 90.0),
                            np.diag([1e-6, 2e-6, 0.3, 2.0]))
-        sp = sigma_points(b)
+        sp = sigma_points(b.mean.as_vector(), b.cov)
         w0_ok = abs(sp.weights[0] + 1.0 / 3.0) < 1e-15
         wi_ok = bool(np.all(np.abs(sp.weights[1:] - 1.0 / 6.0) < 1e-15))
         sum_ok = abs(sp.weights.sum() - 1.0) < 1e-12

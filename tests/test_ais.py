@@ -189,15 +189,6 @@ class TestFragmentAssembly:
 
 
 class TestScaleOptions:
-    def test_legacy_position_scale(self):
-        line = next(ln for ln in corpus_lines()
-                    if ln.startswith("!AIVDM,1,1"))
-        std = next(iter(decode_lines([line])))
-        legacy = next(iter(decode_lines([line], legacy_position_scale=True)))
-        if std.lon is not None:
-            raw = std.lon * 600000.0
-            assert legacy.lon == pytest.approx(raw * 6e-5, rel=1e-9)
-
     def test_sentinels_map_to_missing(self):
         reports = list(decode_lines(corpus_lines()))
         dyn = [r for r in reports if isinstance(r, DynamicAisReport)]

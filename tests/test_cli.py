@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import make_ais_corpus as enc
 from geotrack.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, main,
                           sphere_error_rows)
+from geotrack.tracker import TrackTable
 from conftest import DATA_DIR
 
 CORPUS = os.path.join(DATA_DIR, "ais_corpus.nmea")
@@ -112,6 +114,59 @@ class TestTrack:
         assert rows
         assert {r["mmsi"] for r in rows} == {"366999784"}
         assert "tracks=1" in err
+
+    @staticmethod
+    def timed_report(t, mmsi, lat):
+        bits = enc.encode_class_a(1, mmsi, 70, int(-70.9 * 600000),
+                                  int(lat * 600000), 900, 90, 0)
+        payload, fill = enc.armor_bits(bits)
+        return f"{t},{enc.sentence(1, 1, None, 'A', payload, fill)}\n"
+
+    def test_summary_prints_every_count(self, tmp_path, capsys):
+        code, _, err = run_cli(["track", "-i", CORPUS, "-o", str(tmp_path / "t.csv")],
+                               capsys)
+        assert code == EXIT_OK
+        assert err.splitlines()[-1] == ("lines=534 decoded=525 malformed=3 tracks=5 "
+                                        "stale_drops=29 skipped=12 retired=0")
+
+    def test_failed_track_is_retired_not_fatal(self, tmp_path, capsys, monkeypatch):
+        ingest = TrackTable.ingest
+
+        def poisoning_ingest(table, report, t):
+            kind = ingest(table, report, t)
+            if report.mmsi == 211234560 and kind == "created":
+                table.tracks[report.mmsi].filt.belief.cov[:] = float("nan")
+            return kind
+
+        monkeypatch.setattr(TrackTable, "ingest", poisoning_ingest)
+        stream = tmp_path / "two.nmea"
+        stream.write_text(self.timed_report(0.0, 366999784, 42.0)
+                          + self.timed_report(0.5, 211234560, 42.1)
+                          + self.timed_report(3.0, 366999784, 42.0))
+        out = tmp_path / "tracks.csv"
+        code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["mmsi"] for r in rows} == {"366999784"}
+        assert "tracks=1 " in err and "retired=1" in err
+
+    def test_silent_gap_is_jumped(self, tmp_path, capsys):
+        stream = tmp_path / "gap.nmea"
+        stream.write_text(self.timed_report(0.0, 366999784, 42.0)
+                          + self.timed_report(1e7 + 0.5, 366999784, 42.0)
+                          + self.timed_report(1e7 + 2.0, 366999784, 42.0))
+        out = tmp_path / "tracks.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            times = [float(r["t"]) for r in csv.DictReader(fh)]
+        # ticks at 1..180 until the track goes stale; the clock then jumps to
+        # 1e7, ticks once (empty) up to the next report, and the new track
+        # is first ticked at 1e7 + 2
+        assert times == [float(k) for k in range(1, 181)] + [1e7 + 2.0]
 
     def test_synthetic_timestamps(self, tmp_path, capsys):
         out = tmp_path / "tracks.csv"

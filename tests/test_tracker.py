@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from geotrack import tracker
 from geotrack.ais import DynamicAisReport
 from geotrack.tracker import (DEFAULT_STALE_TIMEOUT_S, TrackTable,
                               measurement_from_report)
+from geotrack.ukf import GeodeticUkf
 
 
 def report(mmsi, lon, lat, sog=7.0, cog=90.0, msg_type=1):
@@ -147,3 +149,58 @@ class TestMeasurementMapping:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             TrackTable(filter_rate_hz=0.0)
+
+
+class TestStackedTick:
+    def test_staggered_tracks_match_per_track_stepping(self, monkeypatch):
+        """Tracks at different last_update times share each stacked step and
+        land exactly where stepping each filter alone would take them."""
+        births = {1: (0.0, -71.0, 42.3), 2: (0.4, 179.9999, 10.0), 3: (2.7, -70.5, -33.0)}
+        table = TrackTable()
+        for mmsi, (t0, lon, lat) in births.items():
+            table.ingest(report(mmsi, lon, lat, sog=6.0, cog=300.0), t0)
+
+        calls = []
+        stacked = tracker.predict_arrays
+        monkeypatch.setattr(tracker, "predict_arrays",
+                            lambda mean, *a: calls.append(len(mean)) or stacked(mean, *a))
+        out = dict(table.tick(5.5))
+        # six steps from 0 and from 0.4, three from 2.7: one call per step
+        # index, each over every track still short of 5.5
+        assert calls == [3, 3, 3, 2, 2, 2]
+
+        for mmsi, (t0, lon, lat) in births.items():
+            r = report(mmsi, lon, lat, sog=6.0, cog=300.0)
+            solo = GeodeticUkf.from_first_measurement(measurement_from_report(r),
+                                                      timestamp=t0)
+            t = t0
+            while 5.5 - t > 1e-9:
+                dt = min(1.0, 5.5 - t)
+                solo.predict(dt)
+                t += dt
+            assert out[mmsi].timestamp == solo.belief.timestamp
+            assert np.array_equal(out[mmsi].mean.as_vector(),
+                                  solo.belief.mean.as_vector())
+            assert np.array_equal(out[mmsi].cov, solo.belief.cov)
+
+
+class TestFailureIsolation:
+    def test_nan_covariance_is_retired_by_tick(self):
+        table = TrackTable()
+        table.ingest(report(1, -71.0, 42.3), 0.0)
+        table.ingest(report(2, -70.9, 42.4), 0.0)
+        table.tracks[2].filt.belief.cov[:] = np.nan
+        out = table.tick(3.0)
+        assert [m for m, _ in out] == [1]
+        assert table.retired == 1
+        assert np.all(np.isfinite(out[0][1].cov))
+
+    def test_nan_covariance_is_retired_by_ingest(self):
+        table = TrackTable()
+        table.ingest(report(1, -71.0, 42.3), 0.0)
+        table.ingest(report(2, -70.9, 42.4), 0.0)
+        table.tracks[2].filt.belief.cov[:] = np.nan
+        assert table.ingest(report(2, -70.9, 42.401), 5.0) == "retired"
+        assert table.ingest(report(1, -71.0, 42.301), 5.0) == "updated"
+        assert list(table.tracks) == [1]
+        assert table.retired == 1

@@ -9,6 +9,7 @@ from geotrack.geodesy import (EarthModel, GeoPoint, great_circle_inverse,
 from geotrack.noise import (ProcessNoiseParams, build_process_noise,
                             default_measurement_noise)
 from geotrack.ukf import (
+    FactorizationFailure,
     GaussianBelief,
     GeodeticState,
     GeodeticUkf,
@@ -21,6 +22,7 @@ from geotrack.ukf import (
     SIGMA_WI,
     initial_belief,
     predict,
+    predict_arrays,
     sigma_points,
     update,
     wrap_residual,
@@ -33,6 +35,10 @@ CV = MotionModel()
 def belief(lon=-71.0, lat=42.0, sog=7.0, cog=90.0, cov=None, t=0.0):
     cov = INITIAL_COV.copy() if cov is None else np.asarray(cov, dtype=float)
     return GaussianBelief(GeodeticState(lon, lat, sog, cog), cov, t)
+
+
+def belief_sigma_points(b):
+    return sigma_points(b.mean.as_vector(), b.cov)
 
 
 class TestWrapResidual:
@@ -51,7 +57,7 @@ class TestWrapResidual:
 
 class TestSigmaPoints:
     def test_weights(self):
-        sp = sigma_points(belief())
+        sp = belief_sigma_points(belief())
         assert sp.weights[0] == pytest.approx(-1.0 / 3.0, abs=1e-15)
         assert np.allclose(sp.weights[1:], 1.0 / 6.0, atol=1e-15)
         assert abs(sp.weights.sum() - 1.0) < 1e-12
@@ -60,18 +66,18 @@ class TestSigmaPoints:
         assert SIGMA_SCALE == pytest.approx(3.0)
 
     def test_identity_cov_offsets(self):
-        sp = sigma_points(belief(cov=np.eye(4)))
+        sp = belief_sigma_points(belief(cov=np.eye(4)))
         for i in range(1, 5):
             offset = sp.points[i] - sp.points[0]
             assert np.linalg.norm(offset) == pytest.approx(math.sqrt(3.0),
                                                            rel=1e-12)
 
     def test_zero_cov_collapses(self):
-        sp = sigma_points(belief(cov=np.zeros((4, 4))))
+        sp = belief_sigma_points(belief(cov=np.zeros((4, 4))))
         assert np.allclose(sp.points, sp.points[0], atol=0.0)
 
     def test_symmetry_about_mean(self):
-        sp = sigma_points(belief(cov=np.diag([1e-8, 2e-8, 0.5, 4.0])))
+        sp = belief_sigma_points(belief(cov=np.diag([1e-8, 2e-8, 0.5, 4.0])))
         mean = sp.points[0]
         for i in range(1, 5):
             assert np.allclose(sp.points[i] - mean, mean - sp.points[i + 4],
@@ -82,7 +88,7 @@ class TestSigmaPoints:
         a = rng.normal(size=(4, 4))
         cov = np.diag([1e-6, 2e-6, 0.3, 2.0])
         b = belief(cov=cov)
-        sp = sigma_points(b)
+        sp = belief_sigma_points(b)
         mapped = sp.points @ a.T
         mean = sp.weights @ mapped
         res = mapped - mean
@@ -282,3 +288,46 @@ class TestBirthRule:
         assert np.all(np.diag(b.cov)[:2] <= np.diag(R_DEFAULT)[:2])
         assert np.diag(b.cov)[2:] == pytest.approx(np.diag(INITIAL_COV)[2:],
                                                   rel=1e-12)
+
+
+class TestStackedPredict:
+    """One stacked predict equals a separate single-belief predict per row."""
+
+    row = st.tuples(
+        st.floats(-1.0, 1.0),                      # lon offset from the dateline
+        st.floats(-89.0, 89.0),                    # lat
+        st.floats(0.0, 15.0),                      # SOG
+        st.floats(0.0, 359.999),                   # COG
+        st.lists(st.booleans(), min_size=4, max_size=4),  # update mask
+        st.floats(0.0, 1.0, exclude_min=True),     # dt
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(row, min_size=1, max_size=8))
+    def test_stack_equals_single_rows(self, rows):
+        filters, dts = [], []
+        for dlon, lat, sog, cog, mask, dt in rows:
+            lon = 180.0 + dlon if dlon < 0 else -180.0 + dlon
+            filt = GeodeticUkf.from_first_measurement(
+                Measurement.full(lon, lat, sog, cog))
+            # a masked report moves the belief off its birth state first
+            z = np.array([lon + 1e-5, lat - 1e-5, sog + 0.3, (cog + 2.0) % 360.0])
+            filt.update(Measurement(z, np.array(mask)))
+            filters.append(filt)
+            dts.append(dt)
+        mean = np.array([f.belief.mean.as_vector() for f in filters])
+        cov = np.array([f.belief.cov for f in filters])
+        dt = np.array(dts)
+        q = build_process_noise(ProcessNoiseParams(), mean[:, 1], mean[:, 3], dt)
+        stacked_mean, stacked_cov = predict_arrays(mean, cov, CV, dt, q)
+        for filt, d, m, c in zip(filters, dts, stacked_mean, stacked_cov):
+            single = filt.predict(d)
+            diff = single.mean.as_vector() - GeodeticState.from_vector(m).as_vector()
+            diff[[0, 3]] = (diff[[0, 3]] + 180.0) % 360.0 - 180.0
+            assert np.all(np.abs(diff) <= 1e-12)
+            assert np.all(np.abs(single.cov - c) <= 1e-12 * np.abs(single.cov).max())
+
+    def test_non_finite_covariance_cannot_be_factored(self):
+        b = belief(cov=np.full((4, 4), np.nan))
+        with pytest.raises(FactorizationFailure):
+            predict(b, CV, 1.0, np.zeros((4, 4)))

@@ -7,7 +7,6 @@ protocol's "not available" sentinels come back as ``None``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -21,7 +20,12 @@ LAT_RAW_LIMIT = 90 * 600000
 SOG_RAW_SENTINEL = 1023
 HEADING_RAW_SENTINEL = 511
 
-FRAGMENT_TIMEOUT_S = 30.0
+# A multi-fragment message goes out as consecutive sentences, and the
+# sequence id that keys it cycles through 0-9 (IEC 61162-1), so a partial
+# not completed within this many further sentences has lost a fragment.
+# Counting sentences instead of seconds makes reassembly the same at any
+# replay speed; the window also bounds the table, whose keys the feed sets.
+FRAGMENT_WINDOW = 100
 
 DYNAMIC_TYPES = (1, 2, 3, 18)
 STATIC_TYPES = (5,)
@@ -178,46 +182,55 @@ def armor(bits: str) -> tuple[str, int]:
 class FragmentAssembler:
     """Single-owner reassembly buffer for multi-fragment messages.
 
-    Partial sequences older than ``timeout`` seconds are discarded; asking for
-    their payload raises IncompleteMessage.
+    Its clock is the number of sentences it has been given. A partial
+    sequence is dropped once more than ``FRAGMENT_WINDOW`` sentences have
+    followed its first fragment. A fragment that contradicts the partial
+    held under its channel and sequence id (another fragment count, or a
+    held index with another payload) starts that sequence afresh, and
+    ConflictingFragments is raised for the partial it replaced.
     """
 
-    def __init__(self, timeout: float = FRAGMENT_TIMEOUT_S, clock=time.monotonic):
-        self.timeout = timeout
-        self._clock = clock
+    def __init__(self):
+        self._sentences = 0
+        # (channel, sequence id) -> partial, oldest first
         self._pending: dict[tuple, dict] = {}
 
-    def add(self, sentence: NmeaSentence, now: float | None = None) -> Optional[str]:
+    def add(self, sentence: NmeaSentence) -> Optional[str]:
         """Ingest one fragment; returns the assembled bit string when complete."""
-        now = self._clock() if now is None else now
-        self._expire(now)
+        self._expire()
+        self._sentences += 1
         if sentence.fragment_count == 1:
             return dearmor(sentence.payload, sentence.fill_bits)
         key = (sentence.channel, sentence.sequence_id)
-        entry = self._pending.setdefault(
-            key, {"count": sentence.fragment_count, "parts": {}, "born": now})
-        if entry["count"] != sentence.fragment_count:
-            del self._pending[key]
-            raise ConflictingFragments("fragment count changed within a sequence")
-        existing = entry["parts"].get(sentence.fragment_index)
-        if existing is not None and existing != (sentence.payload, sentence.fill_bits):
-            del self._pending[key]
-            raise ConflictingFragments("duplicate fragment index with different payload")
-        entry["parts"][sentence.fragment_index] = (sentence.payload, sentence.fill_bits)
-        if len(entry["parts"]) == entry["count"]:
-            del self._pending[key]
-            bits = []
-            for idx in range(1, sentence.fragment_count + 1):
-                payload, fill = entry["parts"][idx]
-                # only the final fragment carries fill bits
-                bits.append(dearmor(payload, fill if idx == sentence.fragment_count else 0))
-            return "".join(bits)
-        return None
+        part = (sentence.payload, sentence.fill_bits)
+        entry = self._pending.get(key)
+        conflict = entry is not None and (
+            entry["count"] != sentence.fragment_count
+            or entry["parts"].get(sentence.fragment_index, part) != part)
+        if entry is None or conflict:
+            self._pending.pop(key, None)
+            entry = self._pending[key] = {"count": sentence.fragment_count,
+                                          "parts": {}, "born": self._sentences}
+        entry["parts"][sentence.fragment_index] = part
+        if conflict:
+            raise ConflictingFragments("fragment contradicts its partial sequence")
+        if len(entry["parts"]) < entry["count"]:
+            return None
+        del self._pending[key]
+        bits = []
+        for idx in range(1, sentence.fragment_count + 1):
+            payload, fill = entry["parts"][idx]
+            # only the final fragment carries fill bits
+            bits.append(dearmor(payload, fill if idx == sentence.fragment_count else 0))
+        return "".join(bits)
 
-    def _expire(self, now: float) -> None:
-        dead = [k for k, e in self._pending.items() if now - e["born"] > self.timeout]
-        for k in dead:
-            del self._pending[k]
+    def _expire(self) -> None:
+        pending = self._pending
+        while pending:
+            key, entry = next(iter(pending.items()))
+            if self._sentences - entry["born"] <= FRAGMENT_WINDOW:
+                return
+            del pending[key]
 
 
 def assemble_fragments(sentences: list[NmeaSentence]) -> str:
@@ -225,7 +238,7 @@ def assemble_fragments(sentences: list[NmeaSentence]) -> str:
     asm = FragmentAssembler()
     result = None
     for s in sorted(sentences, key=lambda s: s.fragment_index):
-        result = asm.add(s, now=0.0)
+        result = asm.add(s)
     if result is None:
         raise IncompleteMessage("fragment set is not complete")
     return result
@@ -335,15 +348,17 @@ class StreamCounters:
     pending_fragments: int = 0
 
 
-def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None):
-    """Decode a stream of NMEA lines, yielding reports and counting failures.
+def decode_lines(tagged_lines: Iterable[tuple[object, str]],
+                 counters: StreamCounters | None = None):
+    """Decode a stream of ``(tag, line)`` pairs lazily, yielding
+    ``(tag, report)`` with the tag of the line that completed the report.
 
     Never raises on bad input; every malformed or unsupported line is counted
     and skipped.
     """
     counters = counters if counters is not None else StreamCounters()
     assembler = FragmentAssembler()
-    for line in lines:
+    for tag, line in tagged_lines:
         if not line.strip():
             continue
         counters.lines += 1
@@ -361,4 +376,4 @@ def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None):
             counters.malformed += 1
             continue
         counters.decoded += 1
-        yield report
+        yield tag, report

@@ -10,22 +10,19 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import ais, geodesy, noise, sim
 from .ais import DynamicAisReport, StaticAisReport, StreamCounters
-from .geodesy import GeoPoint
 from .tracker import TrackTable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-SEED_ENV_VAR = "GEOTRACK_SEED"
 
 
 class UsageError(Exception):
@@ -37,8 +34,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _positive(kind):
+    """An argparse type: a finite value of ``kind`` above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 def _open_input(path: str):
@@ -79,14 +83,14 @@ _DECODE_CSV_COLUMNS = ["kind", "mmsi", "msg_type", "lon_deg", "lat_deg", "sog_mp
 def cmd_decode(args) -> int:
     counters = StreamCounters()
     with _open_input(args.input) as src, _open_output(args.output) as dst:
-        reports = ais.decode_lines(src, counters)
+        reports = ais.decode_lines(enumerate(src), counters)
         if args.format == "jsonl":
-            for report in reports:
+            for _, report in reports:
                 dst.write(json.dumps(_report_to_dict(report)) + "\n")
         else:
             writer = csv.writer(dst, lineterminator="\n")
             writer.writerow(_DECODE_CSV_COLUMNS)
-            for report in reports:
+            for _, report in reports:
                 d = _report_to_dict(report)
                 writer.writerow([d.get(c) for c in _DECODE_CSV_COLUMNS])
     print(f"lines={counters.lines} decoded={counters.decoded} "
@@ -100,41 +104,23 @@ def cmd_decode(args) -> int:
 _SYNTHETIC_INTERVAL_S = {18: 30.0, 1: 10.0, 2: 10.0, 3: 10.0}
 
 
+def _sidecar_split(line: str) -> tuple[float | None, str]:
+    """(leading sidecar time or None, NMEA text) of one input line."""
+    if not line.lstrip().startswith(("!", "$")) and "," in line:
+        head, rest = line.split(",", 1)
+        try:
+            return float(head), rest
+        except ValueError:
+            pass
+    return None, line
+
+
 def _timed_reports(lines, counters: StreamCounters):
-    """Yield (t, report) pairs; time comes from a leading sidecar column when
-    present, else from per-MMSI synthetic arrival at class-typical rates."""
+    """Yield (t, report) pairs as the lines arrive; time comes from a leading
+    sidecar column when present, else from per-MMSI synthetic arrival at
+    class-typical rates."""
     synthetic_clock: dict[int, float] = {}
-    buffered = []
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        t = None
-        payload = line
-        if not line.lstrip().startswith(("!", "$")) and "," in line:
-            head, rest = line.split(",", 1)
-            try:
-                t = float(head)
-                payload = rest
-            except ValueError:
-                payload = line
-        buffered.append((t, payload))
-
-    decoded = []
-    nmea_lines = [p for _, p in buffered]
-    times = [t for t, _ in buffered]
-    idx = 0
-
-    def _tracking_lines():
-        nonlocal idx
-        for i, text in enumerate(nmea_lines):
-            idx = i
-            yield text
-
-    for report in ais.decode_lines(_tracking_lines(), counters):
-        decoded.append((times[idx], report))
-
-    for t, report in decoded:
+    for t, report in ais.decode_lines(map(_sidecar_split, lines), counters):
         if not isinstance(report, DynamicAisReport):
             continue
         if t is None:
@@ -162,6 +148,7 @@ def cmd_track(args) -> int:
                     m = belief.mean
                     dst.write(f"{belief.timestamp},{mmsi},{m.lon!r},{m.lat!r},"
                               f"{m.sog!r},{m.cog!r},{float(np.trace(belief.cov))!r}\n")
+                dst.flush()  # on a live feed, each tick's rows go out at once
             table.ingest(report, t)
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} tracks={len(table.tracks)} "
@@ -176,7 +163,7 @@ def cmd_simulate(args) -> int:
     else:
         scenario = sim.boston_departure_scenario()
     if args.seed is not None:
-        scenario = sim.replace(scenario, seed=args.seed)
+        scenario = replace(scenario, seed=args.seed)
     run = sim.run_comparison(scenario, filters=args.filters)
 
     with _open_output(args.output) as dst:
@@ -248,6 +235,9 @@ def sphere_error_rows(samples: int, seed: int,
 
 
 def cmd_study(args) -> int:
+    if args.kind == "plane-error" and args.max_distance >= geodesy.MEAN_EARTH_RADIUS_M:
+        raise UsageError(f"plane-error --max-distance must be below the mean Earth "
+                         f"radius, {geodesy.MEAN_EARTH_RADIUS_M:g} m")
     with _open_output(args.output) as dst:
         if args.kind == "sphere-error":
             dst.write("lat_deg,bearing_deg,distance_m,error_m,normalized_error_pct\n")
@@ -288,8 +278,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="run per-MMSI filters over an NMEA stream")
     p.add_argument("--input", "-i", default="-")
     p.add_argument("--output", "-o", default="-")
-    p.add_argument("--rate", type=float, default=1.0, help="filter tick rate, Hz")
-    p.add_argument("--stale-timeout", type=float, default=180.0)
+    p.add_argument("--rate", type=_positive(float), default=1.0,
+                   help="filter tick rate, Hz")
+    p.add_argument("--stale-timeout", type=_positive(float), default=180.0)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("simulate", help="truth + noisy AIS simulation with filters")
@@ -301,24 +292,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("study", help="error / kinematics studies as CSV")
     p.add_argument("kind", choices=["sphere-error", "plane-error", "wave-table"])
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--max-distance", type=float, default=500e3)
-    p.add_argument("--grid", type=int, default=25)
+    p.add_argument("--samples", type=_positive(int), default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-distance", type=_positive(float), default=500e3)
+    p.add_argument("--grid", type=_positive(int), default=25)
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_study)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
     except (FileNotFoundError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

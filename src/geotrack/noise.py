@@ -30,18 +30,12 @@ def default_measurement_noise() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcessNoiseParams:
-    """Parameters of the latitude/course dependent process noise covariance.
-
-    ``position_dt_factor`` keeps the per-entry dt factor on the position
-    diagonals (in addition to the overall dt scaling); set False to scale the
-    position variances by dt only once.
-    """
+    """Parameters of the latitude/course dependent process noise covariance."""
 
     zeta0: float = 2.0                    # disturbance amplitude, meters
     lon_scale: float = METERS_PER_DEGREE  # meters per degree of longitude at the equator
     sigma_sog: float = 0.08               # m/s
     sigma_cog: float = 1.2                # degrees
-    position_dt_factor: bool = True
 
     def __post_init__(self):
         if min(self.zeta0, self.lon_scale, self.sigma_sog, self.sigma_cog) <= 0:
@@ -63,10 +57,10 @@ def build_process_noise(params: ProcessNoiseParams, lat_deg, cog_deg, dt) -> np.
     sigma_lon = params.zeta0 / (params.lon_scale * np.cos(np.radians(lat_deg)))
     sigma_lat = params.zeta0 / params.lon_scale
 
-    pos_dt = dt if params.position_dt_factor else 1.0
     q = np.zeros(np.broadcast(lat_deg, dt).shape + (4, 4))
-    q[..., 0, 0] = sigma_lon ** 2 * pos_dt
-    q[..., 1, 1] = sigma_lat ** 2 * pos_dt
+    # the position variances carry dt here and again in the overall scaling
+    q[..., 0, 0] = sigma_lon ** 2 * dt
+    q[..., 1, 1] = sigma_lat ** 2 * dt
     q[..., 0, 2] = q[..., 2, 0] = (sigma_lon * np.sin(cog)) ** 2
     q[..., 1, 2] = q[..., 2, 1] = (sigma_lat * np.cos(cog)) ** 2
     q[..., 2, 2] = params.sigma_sog ** 2

@@ -9,7 +9,7 @@ because the course is carried forward as the arrival bearing of each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,13 +8,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ais import DynamicAisReport
-from .geodesy import DomainError, EarthModel
+from .geodesy import DomainError
 from .noise import ProcessNoiseParams, build_process_noise
 from .ukf import (FactorizationFailure, GaussianBelief, GeodeticState, GeodeticUkf,
                   Measurement, MotionModel, SingularInnovation, predict_arrays)
 
 DEFAULT_STALE_TIMEOUT_S = 180.0  # longest Class A reporting interval (anchored)
 OUT_OF_ORDER_TOLERANCE_S = 1.0
+
+# the stacked tick steps every track with GeodeticUkf's defaults, as its
+# single-track predict does: constant velocity on the mean-radius sphere
+PROCESS_NOISE = ProcessNoiseParams()
+CONSTANT_VELOCITY = MotionModel()
 
 # errors of one track's filter step; the track is retired, the table goes on
 TRACK_FAILURES = (DomainError, FactorizationFailure, SingularInnovation)
@@ -58,21 +63,11 @@ class TrackTable:
     """
 
     def __init__(self, filter_rate_hz: float = 1.0,
-                 stale_timeout: float = DEFAULT_STALE_TIMEOUT_S,
-                 measurement_noise: np.ndarray | None = None,
-                 process_params: ProcessNoiseParams | None = None,
-                 model: MotionModel | None = None,
-                 earth: EarthModel | None = None):
+                 stale_timeout: float = DEFAULT_STALE_TIMEOUT_S):
         if filter_rate_hz <= 0:
             raise ValueError("filter rate must be positive")
         self.filter_rate_hz = filter_rate_hz
         self.stale_timeout = stale_timeout
-        self.process_params = process_params or ProcessNoiseParams()
-        self.model = model or MotionModel()
-        self.earth = earth or EarthModel.sphere()
-        self._filter_kwargs = dict(measurement_noise=measurement_noise,
-                                   process_params=self.process_params,
-                                   model=self.model, earth=self.earth)
         self.tracks: dict[int, Track] = {}
         self.stale_drops = 0
         self.skipped_reports = 0
@@ -99,8 +94,7 @@ class TrackTable:
                 # cannot seed a position estimate from a positionless report
                 self.skipped_reports += 1
                 return "skipped"
-            filt = GeodeticUkf.from_first_measurement(meas, timestamp=t,
-                                                      **self._filter_kwargs)
+            filt = GeodeticUkf.from_first_measurement(meas, timestamp=t)
             self.tracks[report.mmsi] = Track(report.mmsi, filt, t, t)
             return "created"
         if t < track.last_update - OUT_OF_ORDER_TOLERANCE_S:
@@ -123,9 +117,9 @@ class TrackTable:
         mean = np.array([tr.belief.mean.as_vector() for tr in due])
         cov = np.array([tr.belief.cov for tr in due])
         ok, step = _healthy(mean, cov), np.array(dt)
-        q = build_process_noise(self.process_params, mean[ok, 1], mean[ok, 3], step[ok])
-        mean[ok], cov[ok] = predict_arrays(mean[ok], cov[ok], self.model, step[ok],
-                                           q, self.earth)
+        q = build_process_noise(PROCESS_NOISE, mean[ok, 1], mean[ok, 3], step[ok])
+        mean[ok], cov[ok] = predict_arrays(mean[ok], cov[ok], CONSTANT_VELOCITY,
+                                           step[ok], q)
         ok &= _healthy(mean, cov)
         for tr, m, c, d, good in zip(due, mean, cov, dt, ok):
             if not good:

@@ -8,7 +8,7 @@ steps a stack of beliefs at once; a single belief is the stack without its axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

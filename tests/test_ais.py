@@ -53,7 +53,7 @@ class TestCorpusAgreement:
     def test_every_field_of_every_report(self):
         expected = truth()
         counters = StreamCounters()
-        reports = list(decode_lines(corpus_lines(), counters))
+        reports = [r for _, r in decode_lines(enumerate(corpus_lines()), counters)]
         assert len(reports) == expected["n_reports"]
         assert counters.lines == expected["n_lines"]
         assert counters.malformed == expected["n_malformed"]
@@ -77,7 +77,7 @@ class TestCorpusAgreement:
                         key, got, want)
 
     def test_known_vessel_static_report(self):
-        statics = [r for r in decode_lines(corpus_lines())
+        statics = [r for _, r in decode_lines(enumerate(corpus_lines()))
                    if isinstance(r, StaticAisReport)]
         by_mmsi = {r.mmsi: r for r in statics}
         glovis = by_mmsi[440292000]
@@ -87,7 +87,7 @@ class TestCorpusAgreement:
 
     def test_sog_worked_example(self):
         # raw 100 tenths-of-knots -> 5.1444 m/s
-        first = next(iter(decode_lines(corpus_lines())))
+        _, first = next(decode_lines(enumerate(corpus_lines())))
         assert first.sog == pytest.approx(5.1444, rel=1e-12)
 
 
@@ -142,7 +142,7 @@ class TestSentenceParsing:
         payload, fill = armor(base4)
         body = f"AIVDM,1,1,,A,{payload},{fill}"
         line = f"!{body}*{compute_checksum(body):02X}"
-        out = list(decode_lines([line], counters))
+        out = list(decode_lines([(0, line)], counters))
         assert out == []
         assert counters.unsupported == 1
         assert counters.malformed == 0
@@ -169,28 +169,53 @@ class TestFragmentAssembly:
         with pytest.raises(IncompleteMessage):
             assemble_fragments([s1])
 
-    def test_timeout_discards_partials(self):
-        s1, s2 = self._static_pair()
-        asm = FragmentAssembler(timeout=30.0)
-        assert asm.add(s1, now=0.0) is None
-        # the partner arrives too late; the partial was expired, so the late
-        # fragment starts a fresh (still incomplete) sequence
-        assert asm.add(s2, now=100.0) is None
-        assert asm.add(s1, now=101.0) is not None
+    @staticmethod
+    def type5_fragments(mmsi, name, draught_raw, seq=3):
+        bits = enc.encode_type5(mmsi, 9000001, "CALL", name, 70, 100, 20, 5, 5, 1,
+                                draught_raw, "BOSTON")
+        payload, fill = enc.armor_bits(bits)
+        # the split puts the draught (bits 294-301) in the second fragment
+        return [enc.sentence(2, 1, seq, "A", payload[:40], 0),
+                enc.sentence(2, 2, seq, "A", payload[40:], fill)]
+
+    def test_partial_expires_after_window(self):
+        first, second = self.type5_fragments(211000001, "ALPHA", 11)
+        payload, fill = enc.armor_bits(enc.encode_class_a(
+            1, 366999784, 70, int(-70.9 * 600000), int(42.3 * 600000), 900, 90, 0))
+        single = enc.sentence(1, 1, None, "B", payload, fill)
+
+        def statics(gap):
+            lines = [first] + [single] * gap + [second]
+            return [r for _, r in decode_lines(enumerate(lines))
+                    if isinstance(r, StaticAisReport)]
+
+        assert [r.mmsi for r in statics(ais.FRAGMENT_WINDOW)] == [211000001]
+        assert statics(ais.FRAGMENT_WINDOW + 1) == []
+
+    def test_lost_fragment_does_not_corrupt_sequence_id_reuse(self):
+        # message A loses its second fragment; B and C reuse A's sequence id
+        a = self.type5_fragments(211000001, "ALPHA", 11)
+        b = self.type5_fragments(211000002, "BRAVO", 22)
+        c = self.type5_fragments(211000003, "CHARLIE", 33)
+        counters = StreamCounters()
+        reports = [r for _, r in decode_lines(enumerate(a[:1] + b + c), counters)]
+        assert [(r.mmsi, r.name, r.draught) for r in reports] == [
+            (211000002, "BRAVO", 2.2), (211000003, "CHARLIE", 3.3)]
+        assert counters.malformed == 1
 
     def test_conflicting_fragment_count(self):
         s1, _ = self._static_pair()
         conflict = ais.NmeaSentence(s1.tag, 3, 1, s1.sequence_id, s1.channel,
                                     s1.payload, s1.fill_bits, s1.checksum, s1.raw)
         asm = FragmentAssembler()
-        asm.add(s1, now=0.0)
+        asm.add(s1)
         with pytest.raises(ConflictingFragments):
-            asm.add(conflict, now=0.0)
+            asm.add(conflict)
 
 
 class TestScaleOptions:
     def test_sentinels_map_to_missing(self):
-        reports = list(decode_lines(corpus_lines()))
+        reports = [r for _, r in decode_lines(enumerate(corpus_lines()))]
         dyn = [r for r in reports if isinstance(r, DynamicAisReport)]
         assert any(r.lon is None for r in dyn)
         assert any(r.sog is None for r in dyn)
@@ -238,7 +263,7 @@ class TestFuzzing:
                                    for _ in range(rng.randrange(0, 40))
                                    ).decode("latin-1"))
         counters = StreamCounters()
-        for _ in decode_lines(lines, counters):
+        for _ in decode_lines(enumerate(lines), counters):
             pass
         assert counters.lines <= 100_000
         assert counters.malformed > 0

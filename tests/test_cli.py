@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import make_ais_corpus as enc
-from geotrack.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, main,
+from geotrack.ais import StreamCounters
+from geotrack.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, _timed_reports, main,
                           sphere_error_rows)
 from geotrack.tracker import TrackTable
 from conftest import DATA_DIR
@@ -168,6 +169,19 @@ class TestTrack:
         # is first ticked at 1e7 + 2
         assert times == [float(k) for k in range(1, 181)] + [1e7 + 2.0]
 
+    def test_reports_stream_as_lines_arrive(self):
+        pulled = []
+
+        def feed():
+            for t in range(3):
+                pulled.append(t)
+                yield self.timed_report(float(t), 366999784, 42.0)
+
+        reports = _timed_reports(feed(), StreamCounters())
+        t, report = next(reports)
+        assert (t, report.mmsi) == (0.0, 366999784)
+        assert pulled == [0]
+
     def test_synthetic_timestamps(self, tmp_path, capsys):
         out = tmp_path / "tracks.csv"
         code, _, _ = run_cli(["track", "-i", CORPUS, "-o", str(out)], capsys)
@@ -241,6 +255,29 @@ class TestStudy:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["track", "--rate", "0"],
+        ["track", "--rate", "-1"],
+        ["track", "--rate", "nan"],
+        ["track", "--stale-timeout", "0"],
+        ["track", "--stale-timeout", "-5"],
+        ["study", "sphere-error", "--samples", "0"],
+        ["study", "sphere-error", "--samples", "-5"],
+        ["study", "plane-error", "--grid", "0"],
+        ["study", "sphere-error", "--max-distance", "0"],
+        ["study", "sphere-error", "--max-distance", "-1"],
+        ["study", "plane-error", "--max-distance", "6.371e6"],
+        ["study", "plane-error", "--max-distance", "1e7"],
+    ])
+    def test_bad_numeric_value(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        if argv[0] == "track":
+            argv = argv + ["-i", CORPUS]
+        code, _, err = run_cli(argv + ["-o", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+
     def test_no_command(self, capsys):
         code, _, err = run_cli([], capsys)
         assert code == EXIT_USAGE

@@ -61,12 +61,12 @@ class TestProcessNoise:
         assert q[1, 2] == pytest.approx(sigma_lat ** 2, rel=1e-6)
 
     def test_dt_scaling_modes(self):
-        p_double = ProcessNoiseParams(position_dt_factor=True)
-        p_single = ProcessNoiseParams(position_dt_factor=False)
-        q2 = build_process_noise(p_double, 30.0, 45.0, 4.0)
-        q1 = build_process_noise(p_single, 30.0, 45.0, 4.0)
-        assert q2[0, 0] == pytest.approx(4.0 * q1[0, 0], rel=1e-9)
-        assert q2[2, 2] == pytest.approx(q1[2, 2], rel=1e-9)
+        # position variances scale as dt^2, the SOG and COG ones as dt
+        p = ProcessNoiseParams()
+        q4 = build_process_noise(p, 30.0, 45.0, 4.0)
+        q1 = build_process_noise(p, 30.0, 45.0, 1.0)
+        assert q4[0, 0] == pytest.approx(16.0 * q1[0, 0], rel=1e-9)
+        assert q4[2, 2] == pytest.approx(4.0 * q1[2, 2], rel=1e-9)
 
     def test_domain_errors(self):
         p = ProcessNoiseParams()

@@ -1,80 +1,12 @@
-"""Geodetic vessel tracking: AIS decoding, great-circle/ellipsoid geodesy,
+"""Geodetic vessel tracking: AIS decoding, great-circle and Vincenty geodesy,
 an unscented Kalman filter in geographic coordinates, a planar EKF baseline,
-multi-vessel track management, and trajectory simulation."""
+multi-vessel track management, and trajectory simulation.
 
-from .geodesy import (
-    DomainError,
-    EarthMode,
-    EarthModel,
-    GeodesicSolution,
-    GeoPoint,
-    MEAN_EARTH_RADIUS_M,
-    NonConvergenceError,
-    WGS84_FLATTENING,
-    WGS84_SEMI_MAJOR_M,
-    great_circle_final_bearing,
-    great_circle_inverse,
-    great_circle_separation_error,
-    normalize_lon,
-    propagate_sphere,
-    propagate_sphere_arrays,
-    sample_uniform_sphere,
-    tangent_plane_separation_error,
-    vincenty_direct,
-    vincenty_direct_arrays,
-    vincenty_inverse,
-    wrap_bearing,
-)
-from .noise import (
-    BEAUFORT_SEA_STATES,
-    ProcessNoiseParams,
-    WaveKinematics,
-    build_process_noise,
-    default_measurement_noise,
-    wave_orbital_kinematics,
-)
-from .ukf import (
-    GaussianBelief,
-    GeodeticState,
-    GeodeticUkf,
-    Measurement,
-    MotionModel,
-    initial_belief,
-    predict,
-    sigma_points,
-    update,
-    wrap_residual,
-)
-from .ekf import (
-    PlanarEkf,
-    PlanarState,
-    TangentPlane,
-    geodetic_to_ned,
-    ned_to_geodetic,
-)
-from .ais import (
-    DynamicAisReport,
-    StaticAisReport,
-    StreamCounters,
-    decode_lines,
-    decode_payload,
-    parse_sentence,
-)
-from .tracker import Track, TrackTable
-from .sim import (
-    ComparisonRun,
-    Scenario,
-    TrajectorySegment,
-    TruthTrajectory,
-    boston_departure_scenario,
-    generate_truth,
-    lawnmower_scenario,
-    load_scenario,
-    run_comparison,
-    sample_ais,
-    stability_sweep,
-)
+The package root exports the single-vessel filter API; everything else is
+imported from its module (``geotrack.ais``, ``geotrack.tracker``, ...)."""
+
+from .ukf import GeodeticUkf, Measurement
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["GeodeticUkf", "Measurement", "__version__"]

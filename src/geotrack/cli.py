@@ -25,8 +25,17 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
+# AIS reports arrive at most every 2 s; a faster replay clock only repeats
+# predictions
+MAX_RATE_HZ = 100.0
+
+
 class UsageError(Exception):
     pass
+
+
+class InputError(Exception):
+    """Input that can be read but not understood."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,12 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive(kind):
-    """An argparse type: a finite value of ``kind`` above zero."""
+def _positive(kind, most: float = math.inf):
+    """An argparse type: a finite value of ``kind`` above zero, at most ``most``."""
     def parse(text: str):
         value = kind(text)
         if not (math.isfinite(value) and value > 0):
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most:g}, got {text!r}")
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
     return parse
@@ -105,13 +116,19 @@ _SYNTHETIC_INTERVAL_S = {18: 30.0, 1: 10.0, 2: 10.0, 3: 10.0}
 
 
 def _sidecar_split(line: str) -> tuple[float | None, str]:
-    """(leading sidecar time or None, NMEA text) of one input line."""
+    """(leading sidecar time or None, NMEA text) of one input line.
+
+    Only a finite number is a time; a line with any other head is passed on
+    whole, and the decoder counts it as malformed.
+    """
     if not line.lstrip().startswith(("!", "$")) and "," in line:
         head, rest = line.split(",", 1)
         try:
-            return float(head), rest
+            t = float(head)
         except ValueError:
-            pass
+            t = math.nan
+        if math.isfinite(t):
+            return t, rest
     return None, line
 
 
@@ -135,20 +152,19 @@ def cmd_track(args) -> int:
     table = TrackTable(filter_rate_hz=args.rate, stale_timeout=args.stale_timeout)
     with _open_input(args.input) as src, _open_output(args.output) as dst:
         dst.write("t,mmsi,lon_deg,lat_deg,sog_mps,cog_deg,p_trace\n")
-        clock = None
+        k = None  # index of the next replay tick, at time k / rate
         for t, report in _timed_reports(src, counters):
-            if clock is None:
-                clock = math.floor(t)
-            # drive ticks of the replay clock up to this report's time
-            while clock < t:
-                if not table.tracks:  # nothing to predict: jump to the last tick before t
-                    clock += max(0, math.ceil((t - clock) * args.rate) - 1) / args.rate
-                clock += 1.0 / args.rate
-                for mmsi, belief in table.tick(min(clock, t)):
+            last = math.floor(t * args.rate)  # the last tick at or before t
+            k = last if k is None else k
+            while k <= last:
+                if not table.tracks:  # nothing to predict: jump to the last tick
+                    k = last
+                for mmsi, belief in table.tick(k / args.rate):
                     m = belief.mean
                     dst.write(f"{belief.timestamp},{mmsi},{m.lon!r},{m.lat!r},"
                               f"{m.sog!r},{m.cog!r},{float(np.trace(belief.cov))!r}\n")
                 dst.flush()  # on a live feed, each tick's rows go out at once
+                k += 1
             table.ingest(report, t)
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} tracks={len(table.tracks)} "
@@ -159,7 +175,10 @@ def cmd_track(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.scenario:
-        scenario = sim.load_scenario(args.scenario)
+        try:
+            scenario = sim.load_scenario(args.scenario)
+        except ValueError as exc:  # parse errors, bad values, undecodable text
+            raise InputError(f"{args.scenario}: {exc}") from exc
     else:
         scenario = sim.boston_departure_scenario()
     if args.seed is not None:
@@ -278,8 +297,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="run per-MMSI filters over an NMEA stream")
     p.add_argument("--input", "-i", default="-")
     p.add_argument("--output", "-o", default="-")
-    p.add_argument("--rate", type=_positive(float), default=1.0,
-                   help="filter tick rate, Hz")
+    p.add_argument("--rate", type=_positive(float, MAX_RATE_HZ), default=1.0,
+                   help=f"filter tick rate, Hz (at most {MAX_RATE_HZ:g})")
     p.add_argument("--stale-timeout", type=_positive(float), default=180.0)
     p.set_defaults(func=cmd_track)
 
@@ -308,7 +327,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (geodesy.NonConvergenceError, np.linalg.LinAlgError,

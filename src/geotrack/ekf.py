@@ -23,6 +23,7 @@ DEFAULT_ORIGIN = GeoPoint(-71.0237, 42.3469)
 DEFAULT_P0 = 0.1 * np.eye(4)
 DEFAULT_Q = np.diag([0.01, 0.01, 0.1, 0.1])
 DEFAULT_R = np.diag([1e-3, 1e-3, 1e-3, 1e-2])
+DEFAULT_Q.flags.writeable = DEFAULT_R.flags.writeable = False  # shared by every filter
 
 
 def geodetic_to_ecef(p: GeoPoint, height: float = 0.0) -> np.ndarray:
@@ -159,31 +160,26 @@ def measurement_to_planar(meas: Measurement, plane: TangentPlane) -> Measurement
 class PlanarEkf:
     """Stateful EKF baseline mirroring the geodetic filter's interface."""
 
-    def __init__(self, state: PlanarState, p: np.ndarray | None = None,
-                 q: np.ndarray | None = None, r: np.ndarray | None = None,
-                 plane: TangentPlane | None = None):
+    def __init__(self, state: PlanarState, plane: TangentPlane | None = None):
         self.state = state
-        self.p = DEFAULT_P0.copy() if p is None else np.asarray(p, dtype=float)
-        self.q = DEFAULT_Q.copy() if q is None else np.asarray(q, dtype=float)
-        self.r = DEFAULT_R.copy() if r is None else np.asarray(r, dtype=float)
+        self.p = DEFAULT_P0.copy()
         self.plane = plane or TangentPlane()
 
     @classmethod
     def from_first_measurement(cls, meas: Measurement,
-                               plane: TangentPlane | None = None,
-                               **kwargs) -> "PlanarEkf":
+                               plane: TangentPlane | None = None) -> "PlanarEkf":
         plane = plane or TangentPlane()
         pm = measurement_to_planar(meas, plane)
         state = PlanarState(pm.z[0], pm.z[1], pm.z[2], pm.z[3])
-        return cls(state, plane=plane, **kwargs)
+        return cls(state, plane)
 
     def predict(self, dt: float) -> PlanarState:
-        self.state, self.p = ekf_predict(self.state, self.p, dt, self.q)
+        self.state, self.p = ekf_predict(self.state, self.p, dt, DEFAULT_Q)
         return self.state
 
     def update(self, meas: Measurement) -> PlanarState:
         pm = measurement_to_planar(meas, self.plane)
-        self.state, self.p = ekf_update(self.state, self.p, pm, self.r)
+        self.state, self.p = ekf_update(self.state, self.p, pm, DEFAULT_R)
         return self.state
 
     def geodetic_position(self) -> GeoPoint:

@@ -6,7 +6,6 @@ operation boundary, never mid-computation.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -39,11 +38,6 @@ def wrap_bearing(bearing_deg: float) -> float:
     return bearing_deg % 360.0
 
 
-class EarthMode(enum.Enum):
-    SPHERE = "sphere"
-    ELLIPSOID = "ellipsoid"
-
-
 @dataclass(frozen=True)
 class GeoPoint:
     """Geodetic position: degrees East in [-180, 180), degrees North in [-90, 90]."""
@@ -58,28 +52,6 @@ class GeoPoint:
 
 
 @dataclass(frozen=True)
-class EarthModel:
-    mode: EarthMode = EarthMode.SPHERE
-    sphere_radius: float = MEAN_EARTH_RADIUS_M
-    semi_major: float = WGS84_SEMI_MAJOR_M
-    flattening: float = WGS84_FLATTENING
-
-    def __post_init__(self):
-        if self.sphere_radius <= 0 or self.semi_major <= 0:
-            raise DomainError("earth radii must be positive")
-        if not 0.0 <= self.flattening < 1.0:
-            raise DomainError("flattening must be in [0, 1)")
-
-    @classmethod
-    def sphere(cls, radius: float = MEAN_EARTH_RADIUS_M) -> "EarthModel":
-        return cls(mode=EarthMode.SPHERE, sphere_radius=radius)
-
-    @classmethod
-    def wgs84(cls) -> "EarthModel":
-        return cls(mode=EarthMode.ELLIPSOID)
-
-
-@dataclass(frozen=True)
 class GeodesicSolution:
     destination: GeoPoint
     final_bearing: float
@@ -90,12 +62,12 @@ class GeodesicSolution:
 # Spherical propagation
 # ---------------------------------------------------------------------------
 
-def propagate_sphere_arrays(lon_deg, lat_deg, bearing_deg, distance_m,
-                            radius: float = MEAN_EARTH_RADIUS_M):
-    """Vectorized great-circle propagation.  Returns (lon, lat) in degrees."""
+def propagate_sphere_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
+    """Vectorized great-circle propagation on the mean-radius sphere.
+    Returns (lon, lat) in degrees."""
     lat = np.radians(lat_deg)
     brg = np.radians(bearing_deg)
-    c = np.asarray(distance_m, dtype=float) / radius
+    c = np.asarray(distance_m, dtype=float) / MEAN_EARTH_RADIUS_M
     sin_c, cos_c = np.sin(c), np.cos(c)
     sin_lat, cos_lat = np.sin(lat), np.cos(lat)
     cos_brg = np.cos(brg)
@@ -108,18 +80,16 @@ def propagate_sphere_arrays(lon_deg, lat_deg, bearing_deg, distance_m,
     return lon2, np.degrees(lat2)
 
 
-def propagate_sphere(p: GeoPoint, bearing_deg: float, distance_m: float,
-                     radius: float = MEAN_EARTH_RADIUS_M) -> GeoPoint:
+def propagate_sphere(p: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
     """Point reached by traveling ``distance_m`` along the great circle leaving
     ``p`` at ``bearing_deg``."""
     if distance_m < 0:
         raise DomainError("distance must be nonnegative")
-    lon2, lat2 = propagate_sphere_arrays(p.lon, p.lat, bearing_deg, distance_m, radius)
+    lon2, lat2 = propagate_sphere_arrays(p.lon, p.lat, bearing_deg, distance_m)
     return GeoPoint(float(lon2), float(lat2))
 
 
-def great_circle_inverse(p1: GeoPoint, p2: GeoPoint,
-                         radius: float = MEAN_EARTH_RADIUS_M) -> tuple[float, float]:
+def great_circle_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
     """Great-circle distance (m) and initial bearing (deg) from p1 to p2.
 
     Haversine form: well-conditioned at short range, unlike the raw law of
@@ -129,7 +99,7 @@ def great_circle_inverse(p1: GeoPoint, p2: GeoPoint,
     dlat = lat2 - lat1
     dlon = math.radians(normalize_lon(p2.lon - p1.lon))
     a = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    dist = 2.0 * radius * math.asin(min(1.0, math.sqrt(a)))
+    dist = 2.0 * MEAN_EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
     brg = math.atan2(math.sin(dlon) * math.cos(lat2),
                      math.cos(lat1) * math.sin(lat2)
                      - math.sin(lat1) * math.cos(lat2) * math.cos(dlon))
@@ -146,10 +116,8 @@ def great_circle_final_bearing(p1: GeoPoint, p2: GeoPoint) -> float:
 # Vincenty direct / inverse (ellipsoid)
 # ---------------------------------------------------------------------------
 
-def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m,
-                           a: float = WGS84_SEMI_MAJOR_M,
-                           f: float = WGS84_FLATTENING):
-    """Vectorized Vincenty direct problem.
+def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
+    """Vectorized Vincenty direct problem on WGS84.
 
     Returns (lon, lat, final_bearing, iterations) in degrees; iterations is the
     per-element count before |dsigma| < 1e-12.
@@ -162,6 +130,7 @@ def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m,
     lon1, lat1, alpha1, s = np.broadcast_arrays(
         np.atleast_1d(lon1), np.atleast_1d(lat1), np.atleast_1d(alpha1), np.atleast_1d(s))
 
+    a, f = WGS84_SEMI_MAJOR_M, WGS84_FLATTENING
     b = a * (1.0 - f)
     tan_u1 = (1.0 - f) * np.tan(lat1)
     cos_u1 = 1.0 / np.sqrt(1.0 + tan_u1 ** 2)
@@ -213,26 +182,21 @@ def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m,
     return lon2, lat2, alpha2, iters
 
 
-def vincenty_direct(p: GeoPoint, bearing_deg: float, distance_m: float,
-                    model: EarthModel | None = None) -> GeodesicSolution:
+def vincenty_direct(p: GeoPoint, bearing_deg: float, distance_m: float) -> GeodesicSolution:
     """Solve the direct geodesic problem on the ellipsoid; sub-millimeter accuracy."""
     if distance_m < 0:
         raise DomainError("distance must be nonnegative")
-    model = model or EarthModel.wgs84()
-    lon2, lat2, alpha2, iters = vincenty_direct_arrays(
-        p.lon, p.lat, bearing_deg, distance_m, model.semi_major, model.flattening)
+    lon2, lat2, alpha2, iters = vincenty_direct_arrays(p.lon, p.lat, bearing_deg, distance_m)
     return GeodesicSolution(GeoPoint(lon2, lat2), alpha2, max(iters, 1))
 
 
-def vincenty_inverse(p1: GeoPoint, p2: GeoPoint,
-                     model: EarthModel | None = None) -> tuple[float, float]:
-    """Geodesic distance (m) and departure bearing (deg) from p1 to p2.
+def vincenty_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
+    """Geodesic distance (m) and departure bearing (deg) from p1 to p2 on WGS84.
 
     Raises NonConvergenceError for near-antipodal pairs; callers fall back to
     :func:`great_circle_inverse`.
     """
-    model = model or EarthModel.wgs84()
-    a, f = model.semi_major, model.flattening
+    a, f = WGS84_SEMI_MAJOR_M, WGS84_FLATTENING
     b = a * (1.0 - f)
 
     lat1, lat2 = math.radians(p1.lat), math.radians(p2.lat)
@@ -315,8 +279,7 @@ def sample_uniform_sphere(n: int, rng_seed: int) -> list[GeoPoint]:
 # Tangent-plane linearization error
 # ---------------------------------------------------------------------------
 
-def tangent_plane_separation_error(l1: float, l2: float, gamma: float,
-                                   radius: float = MEAN_EARTH_RADIUS_M
+def tangent_plane_separation_error(l1: float, l2: float, gamma: float
                                    ) -> tuple[float, float, float]:
     """Separation error between two points projected onto a tangent plane.
 
@@ -324,6 +287,7 @@ def tangent_plane_separation_error(l1: float, l2: float, gamma: float,
     in-plane angle between them.  Returns (delta_l, delta_s, epsilon) where
     epsilon = delta_s - delta_l >= 0.
     """
+    radius = MEAN_EARTH_RADIUS_M
     if not (0.0 <= l1 < radius and 0.0 <= l2 < radius):
         raise DomainError("projected distances must satisfy 0 <= L < R")
     # in-plane separation via the half-angle form (stable for small gamma)
@@ -339,9 +303,9 @@ def tangent_plane_separation_error(l1: float, l2: float, gamma: float,
     return delta_l, delta_s, delta_s - delta_l
 
 
-def great_circle_separation_error(s1: float, s2: float,
-                                  radius: float = MEAN_EARTH_RADIUS_M) -> float:
+def great_circle_separation_error(s1: float, s2: float) -> float:
     """Separation error for two points on a shared great circle through the origin."""
+    radius = MEAN_EARTH_RADIUS_M
     delta_s = abs(s2 - s1)
     delta_l = 2.0 * radius * abs(math.sin((s2 - s1) / (2.0 * radius))
                                  * math.cos((s1 + s2) / (2.0 * radius)))

@@ -21,6 +21,12 @@ MEAS_STD_COG_DEG = 0.2
 
 METERS_PER_DEGREE = 111319.5
 
+# Process noise: disturbance amplitude (m), which becomes a position std dev
+# of ZETA0_M / METERS_PER_DEGREE degrees of latitude, and SOG/COG std devs.
+ZETA0_M = 2.0
+SIGMA_SOG_MPS = 0.08
+SIGMA_COG_DEG = 1.2
+
 
 def default_measurement_noise() -> np.ndarray:
     """Diagonal 4x4 measurement covariance in (deg^2, deg^2, (m/s)^2, deg^2)."""
@@ -28,21 +34,7 @@ def default_measurement_noise() -> np.ndarray:
                     MEAS_STD_SOG_MPS ** 2, MEAS_STD_COG_DEG ** 2])
 
 
-@dataclass(frozen=True)
-class ProcessNoiseParams:
-    """Parameters of the latitude/course dependent process noise covariance."""
-
-    zeta0: float = 2.0                    # disturbance amplitude, meters
-    lon_scale: float = METERS_PER_DEGREE  # meters per degree of longitude at the equator
-    sigma_sog: float = 0.08               # m/s
-    sigma_cog: float = 1.2                # degrees
-
-    def __post_init__(self):
-        if min(self.zeta0, self.lon_scale, self.sigma_sog, self.sigma_cog) <= 0:
-            raise DomainError("process noise parameters must be strictly positive")
-
-
-def build_process_noise(params: ProcessNoiseParams, lat_deg, cog_deg, dt) -> np.ndarray:
+def build_process_noise(lat_deg, cog_deg, dt) -> np.ndarray:
     """Assemble the 4x4 process noise covariance for one prediction step, or
     a stack of them when ``lat_deg``, ``cog_deg`` and ``dt`` are arrays.
 
@@ -54,8 +46,8 @@ def build_process_noise(params: ProcessNoiseParams, lat_deg, cog_deg, dt) -> np.
     if not ((np.abs(lat_deg) < 90.0) & (dt > 0)).all():
         raise DomainError("process noise needs |lat| < 90 and a positive dt")
     cog = np.radians(cog_deg)
-    sigma_lon = params.zeta0 / (params.lon_scale * np.cos(np.radians(lat_deg)))
-    sigma_lat = params.zeta0 / params.lon_scale
+    sigma_lon = ZETA0_M / (METERS_PER_DEGREE * np.cos(np.radians(lat_deg)))
+    sigma_lat = ZETA0_M / METERS_PER_DEGREE
 
     q = np.zeros(np.broadcast(lat_deg, dt).shape + (4, 4))
     # the position variances carry dt here and again in the overall scaling
@@ -63,8 +55,8 @@ def build_process_noise(params: ProcessNoiseParams, lat_deg, cog_deg, dt) -> np.
     q[..., 1, 1] = sigma_lat ** 2 * dt
     q[..., 0, 2] = q[..., 2, 0] = (sigma_lon * np.sin(cog)) ** 2
     q[..., 1, 2] = q[..., 2, 1] = (sigma_lat * np.cos(cog)) ** 2
-    q[..., 2, 2] = params.sigma_sog ** 2
-    q[..., 3, 3] = params.sigma_cog ** 2
+    q[..., 2, 2] = SIGMA_SOG_MPS ** 2
+    q[..., 3, 3] = SIGMA_COG_DEG ** 2
     q *= dt[..., None, None]
     # the COG block is decoupled, so Q is PSD iff the Schur complement of its
     # position block, times q00 q11 > 0, is non-negative; project the rest

@@ -51,6 +51,8 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
+        if not self.truth_rate_hz > 0:
+            raise ValueError("truth_rate_hz must be positive")
         if self.ais_interval < 1.0 / self.truth_rate_hz:
             raise ValueError("ais_interval must be >= one truth step")
 
@@ -341,7 +343,15 @@ def stability_sweep(intervals=range(2, 69), n_legs: int = 10, seed: int = 0
 # Scenario file format: key = value lines plus a [segments] table
 # ---------------------------------------------------------------------------
 
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
+    """Scenario from its file text; every fault in the text is a ValueError."""
     keys: dict[str, float] = {}
     segments: list[TrajectorySegment] = []
     in_segments = False
@@ -356,16 +366,19 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             parts = line.split()
             if len(parts) not in (3, 4):
                 raise ValueError(f"bad segment row: {raw_line!r}")
-            kind, duration, speed = parts[0].lower(), float(parts[1]), float(parts[2])
-            rate = float(parts[3]) if len(parts) == 4 and parts[3] != "-" else 0.0
+            kind, duration, speed = parts[0].lower(), _number(parts[1]), _number(parts[2])
+            rate = _number(parts[3]) if len(parts) == 4 and parts[3] != "-" else 0.0
             segments.append(TrajectorySegment(kind, duration, speed, rate))
         else:
             if "=" not in line:
                 raise ValueError(f"bad scenario line: {raw_line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            keys[key.lower()] = float(value)
+            keys[key.lower()] = _number(value)
     if not segments:
         raise ValueError("scenario has no segments")
+    missing = [k for k in ("start_lon", "start_lat") if k not in keys]
+    if missing:
+        raise ValueError(f"scenario has no {' or '.join(missing)}")
     return Scenario(
         start=GeoPoint(keys["start_lon"], keys["start_lat"]),
         initial_cog=keys.get("initial_cog", 0.0),

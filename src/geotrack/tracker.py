@@ -9,17 +9,12 @@ import numpy as np
 
 from .ais import DynamicAisReport
 from .geodesy import DomainError
-from .noise import ProcessNoiseParams, build_process_noise
+from .noise import build_process_noise
 from .ukf import (FactorizationFailure, GaussianBelief, GeodeticState, GeodeticUkf,
-                  Measurement, MotionModel, SingularInnovation, predict_arrays)
+                  Measurement, SingularInnovation, predict_arrays)
 
 DEFAULT_STALE_TIMEOUT_S = 180.0  # longest Class A reporting interval (anchored)
 OUT_OF_ORDER_TOLERANCE_S = 1.0
-
-# the stacked tick steps every track with GeodeticUkf's defaults, as its
-# single-track predict does: constant velocity on the mean-radius sphere
-PROCESS_NOISE = ProcessNoiseParams()
-CONSTANT_VELOCITY = MotionModel()
 
 # errors of one track's filter step; the track is retired, the table goes on
 TRACK_FAILURES = (DomainError, FactorizationFailure, SingularInnovation)
@@ -117,9 +112,8 @@ class TrackTable:
         mean = np.array([tr.belief.mean.as_vector() for tr in due])
         cov = np.array([tr.belief.cov for tr in due])
         ok, step = _healthy(mean, cov), np.array(dt)
-        q = build_process_noise(PROCESS_NOISE, mean[ok, 1], mean[ok, 3], step[ok])
-        mean[ok], cov[ok] = predict_arrays(mean[ok], cov[ok], CONSTANT_VELOCITY,
-                                           step[ok], q)
+        q = build_process_noise(mean[ok, 1], mean[ok, 3], step[ok])
+        mean[ok], cov[ok] = predict_arrays(mean[ok], cov[ok], step[ok], q)
         ok &= _healthy(mean, cov)
         for tr, m, c, d, good in zip(due, mean, cov, dt, ok):
             if not good:

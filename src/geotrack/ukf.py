@@ -1,6 +1,7 @@
 """Geodetic unscented Kalman filter over the state [lon, lat, SOG, COG].
 
-Prediction pushes symmetric sigma points through the great-circle state update;
+Prediction pushes symmetric sigma points through a constant-velocity step
+along great circles of the mean-radius sphere;
 the measurement model is linear, so the update is a conventional Kalman step in
 Joseph form with per-field masking for incomplete reports.  ``predict_arrays``
 steps a stack of beliefs at once; a single belief is the stack without its axis.
@@ -14,10 +15,8 @@ import numpy as np
 
 from ._linalg import masked_joseph_update, project_psd, symmetrize
 from ._linalg import SingularInnovation  # noqa: F401  (raised by update)
-from .geodesy import (EarthMode, EarthModel, GeoPoint, normalize_lon,
-                      propagate_sphere_arrays, vincenty_direct_arrays,
-                      wrap_bearing)
-from .noise import ProcessNoiseParams, build_process_noise, default_measurement_noise
+from .geodesy import GeoPoint, normalize_lon, propagate_sphere_arrays, wrap_bearing
+from .noise import build_process_noise, default_measurement_noise
 
 N_STATES = 4
 SIGMA_W0 = 1.0 - N_STATES / 3.0           # -1/3 for the 4-state filter
@@ -28,6 +27,9 @@ SIGMA_WEIGHTS.flags.writeable = False
 
 # Wide-but-proper prior that a new track fuses its first report into.
 INITIAL_COV = np.diag([1e-4 ** 2, 1e-4 ** 2, 1.0 ** 2, 100.0 ** 2])
+
+MEASUREMENT_NOISE = default_measurement_noise()
+MEASUREMENT_NOISE.flags.writeable = False
 
 
 class FactorizationFailure(RuntimeError):
@@ -67,13 +69,6 @@ class GaussianBelief:
     mean: GeodeticState
     cov: np.ndarray
     timestamp: float = 0.0
-
-
-@dataclass(frozen=True)
-class MotionModel:
-    """Constant scalar inputs of the maneuver model; zero for constant velocity."""
-    accel: float = 0.0      # m/s^2
-    turn_rate: float = 0.0  # deg/s
 
 
 @dataclass
@@ -126,24 +121,18 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
     return SigmaPointSet(points, SIGMA_WEIGHTS)
 
 
-def _propagate_points(points: np.ndarray, model: MotionModel, dt,
-                      earth: EarthModel) -> np.ndarray:
-    """Push state vectors ``(..., 4)`` through the geodetic state update;
-    ``dt`` broadcasts against ``points[..., 0]``."""
+def _propagate_points(points: np.ndarray, dt) -> np.ndarray:
+    """Push state vectors ``(..., 4)`` through the constant-velocity step on
+    the sphere; ``dt`` broadcasts against ``points[..., 0]``."""
     lon, lat, sog, cog = (points[..., i] for i in range(N_STATES))
     dist = sog * dt
     # a sigma point offset can drive SOG negative: travel the reverse bearing
     brg = np.where(dist < 0, (cog + 180.0) % 360.0, cog)
     dist = np.abs(dist)
     out = np.empty(points.shape)  # C order: the weighted means sum in one fixed order
-    if earth.mode is EarthMode.ELLIPSOID:
-        out[..., 0], out[..., 1], _, _ = vincenty_direct_arrays(
-            lon, lat, brg, dist, earth.semi_major, earth.flattening)
-    else:
-        out[..., 0], out[..., 1] = propagate_sphere_arrays(lon, lat, brg, dist,
-                                                           earth.sphere_radius)
-    out[..., 2] = np.maximum(0.0, sog + model.accel * dt)
-    out[..., 3] = (cog + model.turn_rate * dt) % 360.0
+    out[..., 0], out[..., 1] = propagate_sphere_arrays(lon, lat, brg, dist)
+    out[..., 2] = np.maximum(0.0, sog)
+    out[..., 3] = cog % 360.0
     return out
 
 
@@ -172,25 +161,22 @@ def _residuals(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return res
 
 
-def predict_arrays(mean: np.ndarray, cov: np.ndarray, model: MotionModel, dt,
-                   q: np.ndarray, earth: EarthModel | None = None
+def predict_arrays(mean: np.ndarray, cov: np.ndarray, dt, q: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """A priori means ``(..., 4)`` and covariances ``(..., 4, 4)`` of a stack of
     beliefs, each stepped by its own ``dt`` and ``q``; rows are independent."""
-    earth = earth or EarthModel.sphere()
     sp = sigma_points(mean, cov)
-    transformed = _propagate_points(sp.points, model, np.asarray(dt)[..., None], earth)
+    transformed = _propagate_points(sp.points, np.asarray(dt)[..., None])
     mean = _weighted_mean(transformed, sp.weights)
     res = _residuals(transformed, mean)
     cov = (sp.weights[:, None] * res).swapaxes(-1, -2) @ res + q
     return mean, project_psd(cov)
 
 
-def predict(belief: GaussianBelief, model: MotionModel, dt: float, q: np.ndarray,
-            earth: EarthModel | None = None) -> GaussianBelief:
+def predict(belief: GaussianBelief, dt: float, q: np.ndarray) -> GaussianBelief:
     """A priori belief after propagating every sigma point through dt seconds."""
-    mean, cov = predict_arrays(belief.mean.as_vector(), belief.cov, model, dt,
-                               np.asarray(q, dtype=float), earth)
+    mean, cov = predict_arrays(belief.mean.as_vector(), belief.cov, dt,
+                               np.asarray(q, dtype=float))
     return GaussianBelief(GeodeticState.from_vector(mean), cov, belief.timestamp + dt)
 
 
@@ -216,37 +202,27 @@ def initial_belief(meas: Measurement, timestamp: float = 0.0) -> GaussianBelief:
 class GeodeticUkf:
     """Stateful filter instance: one tracked vessel, sequential predict/update."""
 
-    def __init__(self, belief: GaussianBelief,
-                 model: MotionModel | None = None,
-                 process_params: ProcessNoiseParams | None = None,
-                 measurement_noise: np.ndarray | None = None,
-                 earth: EarthModel | None = None):
+    def __init__(self, belief: GaussianBelief):
         self.belief = belief
-        self.model = model or MotionModel()
-        self.process_params = process_params or ProcessNoiseParams()
-        self.measurement_noise = (default_measurement_noise()
-                                  if measurement_noise is None else measurement_noise)
-        self.earth = earth or EarthModel.sphere()
 
     @classmethod
-    def from_first_measurement(cls, meas: Measurement, timestamp: float = 0.0,
-                               **kwargs) -> "GeodeticUkf":
+    def from_first_measurement(cls, meas: Measurement,
+                               timestamp: float = 0.0) -> "GeodeticUkf":
         """Start a track from one report, fused with that report's own noise.
 
         The mean equals the report; the fields it carries start at about R
         and the missing ones keep the wide ``INITIAL_COV`` prior.
         """
-        filt = cls(initial_belief(meas, timestamp), **kwargs)
+        filt = cls(initial_belief(meas, timestamp))
         filt.update(meas)
         return filt
 
     def predict(self, dt: float) -> GaussianBelief:
         # Q is rebuilt every step from the current latitude/course estimate
-        q = build_process_noise(self.process_params, self.belief.mean.lat,
-                                self.belief.mean.cog, dt)
-        self.belief = predict(self.belief, self.model, dt, q, self.earth)
+        q = build_process_noise(self.belief.mean.lat, self.belief.mean.cog, dt)
+        self.belief = predict(self.belief, dt, q)
         return self.belief
 
     def update(self, meas: Measurement) -> GaussianBelief:
-        self.belief = update(self.belief, meas, self.measurement_noise)
+        self.belief = update(self.belief, meas, MEASUREMENT_NOISE)
         return self.belief

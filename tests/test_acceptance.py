@@ -21,7 +21,7 @@ from geotrack.geodesy import (GeoPoint, great_circle_inverse,
                               sample_uniform_sphere_arrays,
                               tangent_plane_separation_error, vincenty_direct,
                               vincenty_inverse)
-from geotrack.noise import BEAUFORT_SEA_STATES, ProcessNoiseParams
+from geotrack.noise import BEAUFORT_SEA_STATES, METERS_PER_DEGREE, ZETA0_M
 from geotrack.ukf import (GaussianBelief, GeodeticState, GeodeticUkf,
                           Measurement, sigma_points, update, wrap_residual)
 import conftest
@@ -333,9 +333,8 @@ class TestAcceptance:
             wave_ok &= abs(wk.orbital_radius - zeta_ref) <= 0.05 * zeta_ref
             wave_ok &= abs(wk.orbital_speed - u_ref) <= 0.05 * u_ref
 
-        p = ProcessNoiseParams()
-        sigma_eq = p.zeta0 / (p.lon_scale * math.cos(0.0))
-        sigma_70 = p.zeta0 / (p.lon_scale * math.cos(math.radians(70.0)))
+        sigma_eq = ZETA0_M / (METERS_PER_DEGREE * math.cos(0.0))
+        sigma_70 = ZETA0_M / (METERS_PER_DEGREE * math.cos(math.radians(70.0)))
         footnote_ok = (abs(sigma_eq - 1.78e-5) <= 0.01 * 1.78e-5
                        and abs(sigma_70 - 5.25e-5) <= 0.01 * 5.25e-5)
         criterion(10, [

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import time
 
 import numpy as np
@@ -165,9 +166,40 @@ class TestTrack:
         with open(out, newline="") as fh:
             times = [float(r["t"]) for r in csv.DictReader(fh)]
         # ticks at 1..180 until the track goes stale; the clock then jumps to
-        # 1e7, ticks once (empty) up to the next report, and the new track
-        # is first ticked at 1e7 + 2
-        assert times == [float(k) for k in range(1, 181)] + [1e7 + 2.0]
+        # the tick 1e7 (empty), the report at 1e7 + 0.5 starts a new track,
+        # and it is ticked at 1e7 + 1 and 1e7 + 2
+        assert times == [float(k) for k in range(1, 181)] + [1e7 + 1.0, 1e7 + 2.0]
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 0.3])
+    def test_rows_land_on_the_rate_grid(self, rate, tmp_path, capsys):
+        # the corpus with sidecar times advanced by random 0-1.3 s gaps
+        rng, t, lines = random.Random(5), 0.0, []
+        with open(CORPUS) as fh:
+            for ln in (ln.strip() for ln in fh if ln.strip()):
+                t += rng.uniform(0.0, 1.3)
+                lines.append(f"{t!r},{ln}\n")
+        stream = tmp_path / "jitter.nmea"
+        stream.write_text("".join(lines))
+        out = tmp_path / "tracks.csv"
+        code, _, _ = run_cli(["track", "-i", str(stream), "-o", str(out),
+                              "--rate", str(rate)], capsys)
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            ticks = [float(r["t"]) * rate for r in csv.DictReader(fh)]
+        assert ticks
+        assert all(abs(k - round(k)) <= 1e-6 for k in ticks)
+
+    def test_non_finite_sidecar_time_is_malformed(self, tmp_path, capsys):
+        stream = tmp_path / "bad-times.nmea"
+        report = self.timed_report(0.0, 366999784, 42.0).split(",", 1)[1]
+        stream.write_text(f"nan,{report}" + self.timed_report(1.0, 366999784, 42.0)
+                          + f"inf,{report}" + f"-inf,{report}"
+                          + self.timed_report(3.0, 366999784, 42.0))
+        out = tmp_path / "tracks.csv"
+        code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
+        assert code == EXIT_OK
+        assert err.splitlines() == ["lines=5 decoded=2 malformed=3 tracks=1 "
+                                    "stale_drops=0 skipped=0 retired=0"]
 
     def test_reports_stream_as_lines_arrive(self):
         pulled = []
@@ -215,6 +247,22 @@ class TestSimulate:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["ekf_lon"] == ""
+
+    @pytest.mark.parametrize("text", [
+        "garbage\n",
+        "",
+        "start_lon = -71.0\n[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\n[segments]\nwarp 60 7\n",
+        "start_lon = -71.0\nstart_lat = 95\n[segments]\nstraight 60 7\n",
+    ], ids=["garbage", "empty", "no-start-lat", "unknown-kind", "lat-95"])
+    def test_bad_scenario_file_is_input_error(self, text, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        code, _, err = run_cli(["simulate", "--scenario", str(scn),
+                                "-o", str(tmp_path / "run.csv")], capsys)
+        assert code == EXIT_INPUT
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error: ")
 
 
 class TestStudy:
@@ -268,6 +316,7 @@ class TestUsage:
         ["study", "sphere-error", "--max-distance", "-1"],
         ["study", "plane-error", "--max-distance", "6.371e6"],
         ["study", "plane-error", "--max-distance", "1e7"],
+        ["track", "--rate", "1e20"],
     ])
     def test_bad_numeric_value(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -180,8 +180,8 @@ class TestPlanarEkfDefaults:
     def test_default_tuning(self):
         f = PlanarEkf(PlanarState(0, 0, 0, 0))
         assert np.allclose(f.p, 0.1 * np.eye(4))
-        assert np.allclose(np.diag(f.q), [0.01, 0.01, 0.1, 0.1])
-        assert np.allclose(np.diag(f.r), [1e-3, 1e-3, 1e-3, 1e-2])
+        assert np.allclose(np.diag(DEFAULT_Q), [0.01, 0.01, 0.1, 0.1])
+        assert np.allclose(np.diag(DEFAULT_R), [1e-3, 1e-3, 1e-3, 1e-2])
 
     def test_from_first_measurement_recovers_position(self):
         p = vincenty_direct(PLANE.origin, 200.0, 2500.0).destination

@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 from geotrack.geodesy import DomainError
 from geotrack.noise import (
     BEAUFORT_SEA_STATES,
-    ProcessNoiseParams,
+    METERS_PER_DEGREE,
+    SIGMA_COG_DEG,
+    SIGMA_SOG_MPS,
+    ZETA0_M,
     build_process_noise,
     default_measurement_noise,
     wave_orbital_kinematics,
@@ -43,50 +46,45 @@ class TestMeasurementNoise:
 
 class TestProcessNoise:
     def test_sigma_lon_footnote_values(self):
-        p = ProcessNoiseParams()
-        sigma_eq = p.zeta0 / (p.lon_scale * math.cos(0.0))
-        sigma_70 = p.zeta0 / (p.lon_scale * math.cos(math.radians(70.0)))
+        sigma_eq = ZETA0_M / (METERS_PER_DEGREE * math.cos(0.0))
+        sigma_70 = ZETA0_M / (METERS_PER_DEGREE * math.cos(math.radians(70.0)))
         assert sigma_eq == pytest.approx(1.78e-5, rel=0.01)
         assert sigma_70 == pytest.approx(5.25e-5, rel=0.01)
 
     def test_equator_matrix_entries(self):
-        p = ProcessNoiseParams()
-        q = build_process_noise(p, lat_deg=0.0, cog_deg=0.0, dt=1.0)
-        sigma_lat = p.zeta0 / p.lon_scale
+        q = build_process_noise(lat_deg=0.0, cog_deg=0.0, dt=1.0)
+        sigma_lat = ZETA0_M / METERS_PER_DEGREE
         assert q[1, 1] == pytest.approx(sigma_lat ** 2, rel=1e-9)
-        assert q[2, 2] == pytest.approx(p.sigma_sog ** 2, rel=1e-9)
-        assert q[3, 3] == pytest.approx(p.sigma_cog ** 2, rel=1e-9)
+        assert q[2, 2] == pytest.approx(SIGMA_SOG_MPS ** 2, rel=1e-9)
+        assert q[3, 3] == pytest.approx(SIGMA_COG_DEG ** 2, rel=1e-9)
         # course due North: lon-speed coupling vanishes, lat-speed is maximal
         assert q[0, 2] == pytest.approx(0.0, abs=1e-15)
         assert q[1, 2] == pytest.approx(sigma_lat ** 2, rel=1e-6)
 
     def test_dt_scaling_modes(self):
         # position variances scale as dt^2, the SOG and COG ones as dt
-        p = ProcessNoiseParams()
-        q4 = build_process_noise(p, 30.0, 45.0, 4.0)
-        q1 = build_process_noise(p, 30.0, 45.0, 1.0)
+        q4 = build_process_noise(30.0, 45.0, 4.0)
+        q1 = build_process_noise(30.0, 45.0, 1.0)
         assert q4[0, 0] == pytest.approx(16.0 * q1[0, 0], rel=1e-9)
         assert q4[2, 2] == pytest.approx(4.0 * q1[2, 2], rel=1e-9)
 
     def test_domain_errors(self):
-        p = ProcessNoiseParams()
         with pytest.raises(DomainError):
-            build_process_noise(p, 90.0, 0.0, 1.0)
+            build_process_noise(90.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            build_process_noise(p, 0.0, 0.0, 0.0)
+            build_process_noise(0.0, 0.0, 0.0)
 
     @given(st.floats(-89.9, 89.9), st.floats(0.0, 359.999),
            st.floats(0.001, 120.0))
     def test_symmetric_and_psd(self, lat, cog, dt):
-        q = build_process_noise(ProcessNoiseParams(), lat, cog, dt)
+        q = build_process_noise(lat, cog, dt)
         assert np.allclose(q, q.T, atol=0.0)
         assert np.linalg.eigvalsh(q).min() >= -1e-18
 
     def test_sigma_lon_times_cos_constant(self):
-        p = ProcessNoiseParams()
-        ref = p.zeta0 / p.lon_scale
+        ref = ZETA0_M / METERS_PER_DEGREE
         for lat in (-80.0, -42.0, 0.0, 13.0, 66.0, 89.0):
-            sigma = p.zeta0 / (p.lon_scale * math.cos(math.radians(lat)))
+            sigma = ZETA0_M / (METERS_PER_DEGREE * math.cos(math.radians(lat)))
             assert sigma * math.cos(math.radians(lat)) == pytest.approx(
                 ref, rel=1e-12)
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geotrack.geodesy import (EarthModel, GeoPoint, great_circle_inverse,
-                              propagate_sphere)
-from geotrack.noise import (ProcessNoiseParams, build_process_noise,
-                            default_measurement_noise)
+from geotrack.geodesy import GeoPoint, great_circle_inverse, propagate_sphere
+from geotrack.noise import build_process_noise, default_measurement_noise
 from geotrack.ukf import (
     FactorizationFailure,
     GaussianBelief,
@@ -15,7 +13,6 @@ from geotrack.ukf import (
     GeodeticUkf,
     INITIAL_COV,
     Measurement,
-    MotionModel,
     N_STATES,
     SIGMA_SCALE,
     SIGMA_W0,
@@ -29,7 +26,6 @@ from geotrack.ukf import (
 )
 
 R_DEFAULT = default_measurement_noise()
-CV = MotionModel()
 
 
 def belief(lon=-71.0, lat=42.0, sog=7.0, cog=90.0, cov=None, t=0.0):
@@ -102,32 +98,27 @@ class TestSigmaPoints:
 class TestPredict:
     def test_stationary_fixed_point(self):
         b = belief(sog=0.0, cov=np.zeros((4, 4)))
-        out = predict(b, CV, 1.0, np.zeros((4, 4)))
+        out = predict(b, 1.0, np.zeros((4, 4)))
         assert out.mean.as_vector() == pytest.approx(b.mean.as_vector(),
                                                      abs=1e-12)
         assert np.allclose(out.cov, 0.0, atol=1e-15)
 
     def test_meridional_cv_step(self):
         b = belief(lon=0.0, lat=0.0, sog=7.0, cog=0.0, cov=np.zeros((4, 4)))
-        out = predict(b, CV, 1.0, np.zeros((4, 4)))
+        out = predict(b, 1.0, np.zeros((4, 4)))
         expected_dlat = (7.0 / 6.371e6) * (180.0 / math.pi)
         assert out.mean.lat == pytest.approx(expected_dlat, rel=1e-12)
         assert out.mean.lon == pytest.approx(0.0, abs=1e-12)
 
-    def test_turn_rate_advances_cog(self):
-        b = belief(cog=350.0, cov=np.zeros((4, 4)))
-        out = predict(b, MotionModel(turn_rate=2.0), 10.0, np.zeros((4, 4)))
-        assert out.mean.cog == pytest.approx(10.0, abs=1e-9)
-
     def test_timestamp_advances(self):
-        out = predict(belief(t=5.0), CV, 2.5, np.zeros((4, 4)))
+        out = predict(belief(t=5.0), 2.5, np.zeros((4, 4)))
         assert out.timestamp == 7.5
 
     def test_monte_carlo_push_forward_oracle(self):
         """Unscented moments vs a large direct sample of the process model."""
         cov = np.diag([1e-10, 1e-10, 0.04, 4.0])
         b = belief(lon=-70.8, lat=42.2, sog=7.0, cog=63.0, cov=cov)
-        out = predict(b, CV, 6.0, np.zeros((4, 4)))
+        out = predict(b, 6.0, np.zeros((4, 4)))
 
         # mean of a tight prior must track the deterministic propagation
         det = propagate_sphere(GeoPoint(-70.8, 42.2), 63.0, 42.0)
@@ -140,7 +131,7 @@ class TestPredict:
         n = 1_000_000
         samples = rng.multivariate_normal(b.mean.as_vector(), cov, size=n)
         from geotrack.ukf import _propagate_points
-        pushed = _propagate_points(samples, CV, 6.0, EarthModel.sphere())
+        pushed = _propagate_points(samples, 6.0)
         mc_mean = pushed.mean(axis=0)
         mc_cov = np.cov(pushed.T)
         assert np.allclose(out.mean.as_vector(), mc_mean,
@@ -149,17 +140,9 @@ class TestPredict:
         assert np.all(np.abs(out.cov - mc_cov) <= 0.05 * scale + 1e-15)
 
     def test_adds_process_noise(self):
-        q = build_process_noise(ProcessNoiseParams(), 42.0, 90.0, 1.0)
-        out = predict(belief(cov=np.zeros((4, 4))), CV, 1.0, q)
+        q = build_process_noise(42.0, 90.0, 1.0)
+        out = predict(belief(cov=np.zeros((4, 4))), 1.0, q)
         assert np.trace(out.cov) >= np.trace(q) - 1e-15
-
-    def test_ellipsoid_mode_close_to_sphere(self):
-        b = belief(cov=np.zeros((4, 4)))
-        s = predict(b, CV, 6.0, np.zeros((4, 4)), EarthModel.sphere())
-        e = predict(b, CV, 6.0, np.zeros((4, 4)), EarthModel.wgs84())
-        d = math.hypot((s.mean.lat - e.mean.lat) * 111319.5,
-                       (s.mean.lon - e.mean.lon) * 111319.5 * 0.74)
-        assert d < 0.5  # 42 m arc: spherical approximation is sub-meter
 
 
 class TestUpdate:
@@ -318,8 +301,8 @@ class TestStackedPredict:
         mean = np.array([f.belief.mean.as_vector() for f in filters])
         cov = np.array([f.belief.cov for f in filters])
         dt = np.array(dts)
-        q = build_process_noise(ProcessNoiseParams(), mean[:, 1], mean[:, 3], dt)
-        stacked_mean, stacked_cov = predict_arrays(mean, cov, CV, dt, q)
+        q = build_process_noise(mean[:, 1], mean[:, 3], dt)
+        stacked_mean, stacked_cov = predict_arrays(mean, cov, dt, q)
         for filt, d, m, c in zip(filters, dts, stacked_mean, stacked_cov):
             single = filt.predict(d)
             diff = single.mean.as_vector() - GeodeticState.from_vector(m).as_vector()
@@ -330,4 +313,4 @@ class TestStackedPredict:
     def test_non_finite_covariance_cannot_be_factored(self):
         b = belief(cov=np.full((4, 4), np.nan))
         with pytest.raises(FactorizationFailure):
-            predict(b, CV, 1.0, np.zeros((4, 4)))
+            predict(b, 1.0, np.zeros((4, 4)))

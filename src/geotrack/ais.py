@@ -1,12 +1,16 @@
 """AIVDM/NMEA 0183 decoder for AIS message types 1, 2, 3, 18 and 5.
 
 The pipeline is: checksum verification -> multi-fragment assembly -> 6-bit
-payload de-armoring -> bit-field extraction.  Decoded fields that carry the
-protocol's "not available" sentinels come back as ``None``.
+payload de-armoring into one integer -> bit-field extraction by shift and
+mask.  Decoded fields that carry the protocol's "not available" sentinels
+come back as ``None``.
 """
 
 from __future__ import annotations
 
+import binascii
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -27,9 +31,6 @@ HEADING_RAW_SENTINEL = 511
 # replay speed; the window also bounds the table, whose keys the feed sets.
 FRAGMENT_WINDOW = 100
 
-DYNAMIC_TYPES = (1, 2, 3, 18)
-STATIC_TYPES = (5,)
-
 
 class AisError(Exception):
     """Base class for all decoder errors."""
@@ -40,10 +41,6 @@ class MalformedSentence(AisError):
 
 
 class InvalidCharacter(AisError):
-    pass
-
-
-class WrongMessageType(AisError):
     pass
 
 
@@ -102,32 +99,35 @@ class StaticAisReport:
 
 
 def compute_checksum(body: str) -> int:
-    """XOR of all characters between the leading '!'/'$' and the '*'."""
-    acc = 0
-    for ch in body:
-        acc ^= ord(ch)
-    return acc
+    """XOR of the bytes between the leading '!'/'$' and the '*'."""
+    return functools.reduce(operator.xor, body.encode(), 0)
 
 
-def verify_checksum(line: str) -> bool:
-    line = line.strip()
-    if not line or line[0] not in "!$" or "*" not in line:
+def _split_checksum(line: str) -> tuple[str, int, bool]:
+    """(body, declared checksum, whether the body matches it) of a stripped line."""
+    body, star, tail = line[1:].partition("*")
+    if not line or line[0] not in "!$" or not star:
         raise MalformedSentence(f"not a checksummed NMEA sentence: {line[:40]!r}")
-    body, _, tail = line[1:].partition("*")
     if len(tail) < 2:
         raise MalformedSentence("missing checksum digits")
     try:
         declared = int(tail[:2], 16)
     except ValueError as exc:
         raise MalformedSentence("non-hex checksum digits") from exc
-    return compute_checksum(body) == declared
+    if not body.isascii():  # NMEA 0183 is ASCII
+        raise MalformedSentence("non-ASCII sentence")
+    return body, declared, compute_checksum(body) == declared
+
+
+def verify_checksum(line: str) -> bool:
+    return _split_checksum(line.strip())[2]
 
 
 def parse_sentence(line: str) -> NmeaSentence:
     stripped = line.strip()
-    if not verify_checksum(stripped):
+    body, checksum, matches = _split_checksum(stripped)
+    if not matches:
         raise MalformedSentence("checksum mismatch")
-    body = stripped[1:].split("*", 1)[0]
     fields = body.split(",")
     if len(fields) != 7:
         raise MalformedSentence(f"expected 7 fields, got {len(fields)}")
@@ -143,40 +143,31 @@ def parse_sentence(line: str) -> NmeaSentence:
     seq_id = int(seq) if seq else None
     if count < 1 or not 1 <= index <= count or not 0 <= fill_bits <= 5:
         raise MalformedSentence("fragment bookkeeping out of range")
-    checksum = int(stripped.split("*", 1)[1][:2], 16)
     return NmeaSentence(tag, count, index, seq_id, channel, payload,
                         fill_bits, checksum, stripped)
 
 
-def dearmor(payload: str, fill_bits: int = 0) -> str:
-    """6-bit armored payload text -> bit string ('0'/'1'), MSB first."""
-    bits = []
-    for ch in payload:
-        v = ord(ch) - 48
-        if v > 40:
-            v -= 8
-        if not 0 <= v <= 63:
-            raise InvalidCharacter(f"invalid armor character {ch!r}")
-        bits.append(format(v, "06b"))
-    joined = "".join(bits)
-    if fill_bits:
-        if fill_bits > len(joined):
-            raise TruncatedPayload("fill bits exceed payload length")
-        joined = joined[:-fill_bits]
-    return joined
+# The armour alphabet (ITU-R M.1371-5, Annex 8): '0'-'W' carry the 6-bit
+# values 0-39 and '`'-'w' carry 40-63. Each maps to the base64 character of
+# the same value, and every other ASCII character to '!', which base64 lacks.
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_ARMOR = "".join(map(chr, range(48, 88))) + "".join(map(chr, range(96, 120)))
+_ARMOR_TO_BASE64 = str.maketrans({**{chr(c): "!" for c in range(128)},
+                                  **dict(zip(_ARMOR, _BASE64))})
 
 
-def armor(bits: str) -> tuple[str, int]:
-    """Bit string -> (armored payload text, fill bits); inverse of dearmor."""
-    fill = (-len(bits)) % 6
-    padded = bits + "0" * fill
-    chars = []
-    for i in range(0, len(padded), 6):
-        v = int(padded[i:i + 6], 2)
-        if v > 39:
-            v += 8
-        chars.append(chr(v + 48))
-    return "".join(chars), fill
+def dearmor(payload: str, fill_bits: int = 0) -> tuple[int, int]:
+    """6-bit armored payload text -> (value, bit count), the first bit the
+    most significant."""
+    text = payload.translate(_ARMOR_TO_BASE64)
+    if not text.isascii() or "!" in text:
+        raise InvalidCharacter(f"invalid armor character in {payload!r}")
+    nbits = 6 * len(payload)
+    if fill_bits > nbits:
+        raise TruncatedPayload("fill bits exceed payload length")
+    pad = -len(text) % 4  # a2b_base64 decodes whole 4-character groups
+    value = int.from_bytes(binascii.a2b_base64(text + "A" * pad), "big")
+    return value >> (6 * pad + fill_bits), nbits - fill_bits
 
 
 class FragmentAssembler:
@@ -195,8 +186,9 @@ class FragmentAssembler:
         # (channel, sequence id) -> partial, oldest first
         self._pending: dict[tuple, dict] = {}
 
-    def add(self, sentence: NmeaSentence) -> Optional[str]:
-        """Ingest one fragment; returns the assembled bit string when complete."""
+    def add(self, sentence: NmeaSentence) -> Optional[tuple[int, int]]:
+        """Ingest one fragment; returns the assembled (value, bit count) when
+        complete."""
         self._expire()
         self._sentences += 1
         if sentence.fragment_count == 1:
@@ -217,12 +209,14 @@ class FragmentAssembler:
         if len(entry["parts"]) < entry["count"]:
             return None
         del self._pending[key]
-        bits = []
+        value = nbits = 0
         for idx in range(1, sentence.fragment_count + 1):
             payload, fill = entry["parts"][idx]
             # only the final fragment carries fill bits
-            bits.append(dearmor(payload, fill if idx == sentence.fragment_count else 0))
-        return "".join(bits)
+            v, n = dearmor(payload, fill if idx == sentence.fragment_count else 0)
+            value = value << n | v
+            nbits += n
+        return value, nbits
 
     def _expire(self) -> None:
         pending = self._pending
@@ -233,8 +227,8 @@ class FragmentAssembler:
             del pending[key]
 
 
-def assemble_fragments(sentences: list[NmeaSentence]) -> str:
-    """Assemble a complete fragment set (any order) into one bit string."""
+def assemble_fragments(sentences: list[NmeaSentence]) -> tuple[int, int]:
+    """Assemble a complete fragment set (any order) into one (value, bit count)."""
     asm = FragmentAssembler()
     result = None
     for s in sorted(sentences, key=lambda s: s.fragment_index):
@@ -244,99 +238,71 @@ def assemble_fragments(sentences: list[NmeaSentence]) -> str:
     return result
 
 
-def _bits(bits: str, start: int, stop: int) -> int:
-    """Unsigned integer from bits[start:stop+1] (inclusive bit map indices)."""
-    if stop >= len(bits):
-        raise TruncatedPayload(f"payload ends at bit {len(bits)}, need {stop}")
-    return int(bits[start:stop + 1], 2)
+# The last bit each decoded message type is read up to (ITU-R M.1371-5 bit
+# map, bit 0 first): the time stamp of a position report, the draught of a
+# type 5. Class B (18) fields from SOG on sit 4 bits before the Class A ones,
+# so counted back from this bit, the fields of both classes line up.
+_LAST_BIT = {1: 142, 2: 142, 3: 142, 18: 138, 5: 301}
+
+_SIXBIT_ALPHABET = "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_ !\"#$%&'()*+,-./0123456789:;<=>?"
 
 
-def _signed_bits(bits: str, start: int, stop: int) -> int:
-    raw = _bits(bits, start, stop)
-    width = stop - start + 1
-    if raw >= 1 << (width - 1):
-        raw -= 1 << width
-    return raw
+def decode_payload(payload: tuple[int, int]):
+    """Decode an assembled ``(value, bit count)`` payload to its report.
 
+    A field at bits start-stop is ``value >> (nbits - 1 - stop)`` masked to
+    its width; below, every shift counts from the message's last bit.
+    """
+    value, nbits = payload
+    if nbits < 6:
+        raise TruncatedPayload("payload shorter than the type field")
+    mtype = value >> (nbits - 6)
+    last = _LAST_BIT.get(mtype)
+    if last is None:
+        raise UnsupportedMessageType(f"message type {mtype} not handled")
+    if nbits <= last:
+        raise TruncatedPayload(f"payload ends at bit {nbits}, need {last}")
+    v = value >> (nbits - 1 - last)
+    mmsi = v >> (last - 37) & 0x3FFFFFFF  # bits 8-37
+    if mtype == 5:
+        return _static_report(v, mmsi)
 
-def message_type(bits: str) -> int:
-    return _bits(bits, 0, 5)
-
-
-def decode_dynamic(bits: str) -> DynamicAisReport:
-    """Decode a Class A (1/2/3) or Class B (18) position report."""
-    mtype = message_type(bits)
-    if mtype not in DYNAMIC_TYPES:
-        raise WrongMessageType(f"message type {mtype} is not a dynamic report")
-    if mtype == 18:
-        sog_rng, lon_rng, lat_rng = (46, 55), (57, 84), (85, 111)
-        cog_rng, hdg_rng, ts_rng = (112, 123), (124, 132), (133, 138)
-    else:
-        sog_rng, lon_rng, lat_rng = (50, 59), (61, 88), (89, 115)
-        cog_rng, hdg_rng, ts_rng = (116, 127), (128, 136), (137, 142)
-
-    mmsi = _bits(bits, 8, 37)
-
-    lon_raw = _signed_bits(bits, *lon_rng)
-    lat_raw = _signed_bits(bits, *lat_rng)
+    # 28- and 27-bit two's complement positions
+    lon_raw = ((v >> 54 & 0xFFFFFFF) ^ 0x8000000) - 0x8000000
+    lat_raw = ((v >> 27 & 0x7FFFFFF) ^ 0x4000000) - 0x4000000
     lon = None if abs(lon_raw) > LON_RAW_LIMIT else lon_raw * POSITION_SCALE_STANDARD
     lat = None if abs(lat_raw) > LAT_RAW_LIMIT else lat_raw * POSITION_SCALE_STANDARD
 
-    sog_raw = _bits(bits, *sog_rng)
+    sog_raw = v >> 83 & 0x3FF
     sog = None if sog_raw == SOG_RAW_SENTINEL else sog_raw * SOG_KNOT_TENTHS_TO_MPS
 
-    cog_raw = _bits(bits, *cog_rng)
+    cog_raw = v >> 15 & 0xFFF
     cog = None if cog_raw >= 3600 else cog_raw / 10.0
 
-    hdg_raw = _bits(bits, *hdg_rng)
+    hdg_raw = v >> 6 & 0x1FF
     heading = None if hdg_raw == HEADING_RAW_SENTINEL else hdg_raw
 
-    ts_raw = _bits(bits, *ts_rng)
+    ts_raw = v & 0x3F
     timestamp = None if ts_raw >= 60 else ts_raw
 
     return DynamicAisReport(mmsi, mtype, lon, lat, sog, cog, heading, timestamp)
 
 
-_SIXBIT_ALPHABET = "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_ !\"#$%&'()*+,-./0123456789:;<=>?"
-
-
-def sixbit_text(bits: str, start: int, stop: int) -> str:
-    """Decode a 6-bit ASCII text field; '@' padding and edge whitespace removed."""
-    chars = []
-    for i in range(start, stop + 1, 6):
-        chars.append(_SIXBIT_ALPHABET[_bits(bits, i, i + 5)])
-    text = "".join(chars)
-    return text.rstrip("@").strip()
-
-
-def decode_static(bits: str) -> StaticAisReport:
-    """Decode a Type 5 static voyage report."""
-    mtype = message_type(bits)
-    if mtype not in STATIC_TYPES:
-        raise WrongMessageType(f"message type {mtype} is not a static report")
+def _static_report(v: int, mmsi: int) -> StaticAisReport:
+    """A type 5 report from its payload shifted to end at bit 301."""
+    name_bits = v >> 70  # bits 112-231, twenty 6-bit characters
+    name = "".join(_SIXBIT_ALPHABET[name_bits >> s & 0x3F] for s in range(114, -1, -6))
     return StaticAisReport(
-        mmsi=_bits(bits, 8, 37),
-        imo=_bits(bits, 40, 69),
-        name=sixbit_text(bits, 112, 231),
-        type_code=_bits(bits, 232, 239),
-        dim_to_bow=_bits(bits, 240, 248),
-        dim_to_stern=_bits(bits, 249, 257),
-        dim_to_port=_bits(bits, 258, 263),
-        dim_to_starboard=_bits(bits, 264, 269),
-        draught=_bits(bits, 294, 301) / 10.0,
+        mmsi=mmsi,
+        imo=v >> 232 & 0x3FFFFFFF,          # bits 40-69
+        name=name.rstrip("@").strip(),      # '@' padding and edge spaces removed
+        type_code=v >> 62 & 0xFF,           # bits 232-239
+        dim_to_bow=v >> 53 & 0x1FF,         # bits 240-248
+        dim_to_stern=v >> 44 & 0x1FF,       # bits 249-257
+        dim_to_port=v >> 38 & 0x3F,         # bits 258-263
+        dim_to_starboard=v >> 32 & 0x3F,    # bits 264-269
+        draught=(v & 0xFF) / 10.0,          # bits 294-301
     )
-
-
-def decode_payload(bits: str):
-    """Dispatch an assembled payload to the right field decoder."""
-    if len(bits) < 6:
-        raise TruncatedPayload("payload shorter than the type field")
-    mtype = message_type(bits)
-    if mtype in DYNAMIC_TYPES:
-        return decode_dynamic(bits)
-    if mtype in STATIC_TYPES:
-        return decode_static(bits)
-    raise UnsupportedMessageType(f"message type {mtype} not handled")
 
 
 @dataclass
@@ -364,11 +330,11 @@ def decode_lines(tagged_lines: Iterable[tuple[object, str]],
         counters.lines += 1
         try:
             sentence = parse_sentence(line)
-            bits = assembler.add(sentence)
-            if bits is None:
+            payload = assembler.add(sentence)
+            if payload is None:
                 counters.pending_fragments += 1
                 continue
-            report = decode_payload(bits)
+            report = decode_payload(payload)
         except UnsupportedMessageType:
             counters.unsupported += 1
             continue

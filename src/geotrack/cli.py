@@ -91,6 +91,18 @@ _DECODE_CSV_COLUMNS = ["kind", "mmsi", "msg_type", "lon_deg", "lat_deg", "sog_mp
                        "dim_to_starboard_m", "draught_m"]
 
 
+def _csv_row(report) -> tuple:
+    """The ``_DECODE_CSV_COLUMNS`` of one report; None writes an empty field."""
+    if isinstance(report, DynamicAisReport):
+        return ("dynamic", report.mmsi, report.msg_type, report.lon, report.lat,
+                report.sog, report.cog, report.heading, report.timestamp_sec,
+                None, None, None, None, None, None, None, None)
+    return ("static", report.mmsi, 5, None, None, None, None, None, None,
+            report.imo, report.name, report.type_code, report.dim_to_bow,
+            report.dim_to_stern, report.dim_to_port, report.dim_to_starboard,
+            report.draught)
+
+
 def cmd_decode(args) -> int:
     counters = StreamCounters()
     with _open_input(args.input) as src, _open_output(args.output) as dst:
@@ -101,9 +113,7 @@ def cmd_decode(args) -> int:
         else:
             writer = csv.writer(dst, lineterminator="\n")
             writer.writerow(_DECODE_CSV_COLUMNS)
-            for _, report in reports:
-                d = _report_to_dict(report)
-                writer.writerow([d.get(c) for c in _DECODE_CSV_COLUMNS])
+            writer.writerows(_csv_row(report) for _, report in reports)
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} unsupported={counters.unsupported}",
           file=sys.stderr)
@@ -115,11 +125,19 @@ def cmd_decode(args) -> int:
 _SYNTHETIC_INTERVAL_S = {18: 30.0, 1: 10.0, 2: 10.0, 3: 10.0}
 
 
+# A sidecar time must lie below this many seconds. Up to it, the float
+# spacing of a time is at most 2**-10 s, far under the shortest tick of
+# 1 / MAX_RATE_HZ, so each tick step moves the clock; epoch seconds and epoch
+# milliseconds fit, epoch nanoseconds do not.
+MAX_SIDECAR_TIME_S = 2.0 ** 43
+
+
 def _sidecar_split(line: str) -> tuple[float | None, str]:
     """(leading sidecar time or None, NMEA text) of one input line.
 
-    Only a finite number is a time; a line with any other head is passed on
-    whole, and the decoder counts it as malformed.
+    Only a finite number below MAX_SIDECAR_TIME_S in magnitude is a time; a
+    line with any other head is passed on whole, and the decoder counts it
+    as malformed.
     """
     if not line.lstrip().startswith(("!", "$")) and "," in line:
         head, rest = line.split(",", 1)
@@ -127,7 +145,7 @@ def _sidecar_split(line: str) -> tuple[float | None, str]:
             t = float(head)
         except ValueError:
             t = math.nan
-        if math.isfinite(t):
+        if abs(t) < MAX_SIDECAR_TIME_S:  # False for nan and inf
             return t, rest
     return None, line
 

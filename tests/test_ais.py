@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import make_ais_corpus as enc
 from geotrack import ais
@@ -16,7 +17,6 @@ from geotrack.ais import (
     StaticAisReport,
     StreamCounters,
     UnsupportedMessageType,
-    armor,
     assemble_fragments,
     compute_checksum,
     dearmor,
@@ -93,9 +93,9 @@ class TestCorpusAgreement:
 
 class TestArmoring:
     def test_dearmor_examples(self):
-        assert dearmor("w") == "111111"
-        assert dearmor("0") == "000000"
-        assert dearmor("?") == "001111"
+        assert dearmor("w") == (63, 6)
+        assert dearmor("0") == (0, 6)
+        assert dearmor("?") == (15, 6)
 
     def test_round_trip_all_corpus_payloads(self):
         for line in corpus_lines():
@@ -103,16 +103,16 @@ class TestArmoring:
                 s = parse_sentence(line)
             except MalformedSentence:
                 continue
-            bits = dearmor(s.payload, 0)
-            back, fill = armor(bits)
+            value, nbits = dearmor(s.payload, 0)
+            back, fill = enc.armor_bits(format(value, f"0{nbits}b"))
             assert back == s.payload
             assert fill == 0
 
     def test_fill_bits_trim(self):
         bits = "101010101"  # 9 bits -> 2 chars + 3 fill
-        payload, fill = armor(bits)
+        payload, fill = enc.armor_bits(bits)
         assert fill == 3
-        assert dearmor(payload, fill) == bits
+        assert dearmor(payload, fill) == (int(bits, 2), len(bits))
 
     def test_invalid_character(self):
         with pytest.raises(ais.InvalidCharacter):
@@ -139,7 +139,7 @@ class TestSentenceParsing:
     def test_unsupported_type_counted(self):
         counters = StreamCounters()
         base4 = format(4, "06b") + "0" * 162
-        payload, fill = armor(base4)
+        payload, fill = enc.armor_bits(base4)
         body = f"AIVDM,1,1,,A,{payload},{fill}"
         line = f"!{body}*{compute_checksum(body):02X}"
         out = list(decode_lines([(0, line)], counters))
@@ -231,9 +231,121 @@ class TestScaleOptions:
     def test_out_of_range_latitude_maps_to_missing(self):
         bits = enc.encode_class_a(1, 366999784, 70, int(-70.9 * 600000),
                                   95 * 600000, 900, 90, 0)
-        report = decode_payload(bits)
+        report = decode_payload((int(bits, 2), len(bits)))
         assert report.lat is None
         assert report.lon == pytest.approx(-70.9)
+
+
+def decode_bits(bits):
+    """Decode one single-sentence message of raw bits; (reports, counters)."""
+    payload, fill = enc.armor_bits(bits)
+    counters = StreamCounters()
+    line = enc.sentence(1, 1, None, "A", payload, fill)
+    return [r for _, r in decode_lines([(0, line)], counters)], counters
+
+
+class TestArmourAlphabet:
+    PAYLOAD, FILL = enc.armor_bits(enc.encode_class_a(
+        1, 366999784, 70, int(-70.9 * 600000), int(42.3 * 600000), 900, 90, 0))
+
+    @pytest.mark.parametrize("char", "XYZ[\\]^_")
+    def test_characters_between_the_two_ranges_are_malformed(self, char):
+        # 'X'-'_' (88-95) lie between the two armour ranges '0'-'W' and '`'-'w'
+        bad = self.PAYLOAD[:10] + char + self.PAYLOAD[11:]
+        for text, decoded in ((self.PAYLOAD, 1), (bad, 0)):
+            counters = StreamCounters()
+            line = enc.sentence(1, 1, None, "A", text, self.FILL)
+            assert len(list(decode_lines([(0, line)], counters))) == decoded
+            assert counters.malformed == 1 - decoded
+
+    def test_non_ascii_sentence_is_malformed(self):
+        lines = [enc.sentence(1, 1, None, channel, self.PAYLOAD, self.FILL)
+                 for channel in ("\u00e9", "\udcff")]
+        counters = StreamCounters()
+        assert list(decode_lines(enumerate(lines), counters)) == []
+        assert counters.malformed == 2
+
+
+def unsigned(width, *edges):
+    """Any value of a ``width``-bit unsigned field, its ``edges`` drawn often."""
+    return st.one_of(st.sampled_from(edges + (0, (1 << width) - 1)),
+                     st.integers(0, (1 << width) - 1))
+
+
+def signed(width, *edges):
+    top = 1 << (width - 1)
+    return st.one_of(st.sampled_from(edges + tuple(-e for e in edges) + (-top, top - 1)),
+                     st.integers(-top, top - 1))
+
+
+LON_LIMIT, LAT_LIMIT = 180 * 600000, 90 * 600000
+
+# (msg_type, mmsi, sog, lon, lat, cog, heading, time stamp) as raw integers
+DYNAMIC_FIELDS = st.tuples(
+    st.sampled_from([1, 2, 3, 18]), unsigned(30),
+    unsigned(10, 1022, 1023),
+    signed(28, LON_LIMIT, LON_LIMIT + 1, 181 * 600000),
+    signed(27, LAT_LIMIT, LAT_LIMIT + 1, 91 * 600000),
+    unsigned(12, 3599, 3600), unsigned(9, 359, 510, 511), unsigned(6, 59, 60))
+
+
+def sixbit_text(chars):
+    return st.text(alphabet=enc.SIXBIT, max_size=chars)
+
+
+# the arguments of make_ais_corpus.encode_type5
+STATIC_FIELDS = st.tuples(
+    unsigned(30), unsigned(30), sixbit_text(7), sixbit_text(20), unsigned(8),
+    unsigned(9), unsigned(9), unsigned(6), unsigned(6), unsigned(4), unsigned(8),
+    sixbit_text(20))
+
+
+def encode_dynamic(msg_type, mmsi, *fields):
+    if msg_type == 18:
+        return enc.encode_class_b(mmsi, *fields)
+    return enc.encode_class_a(msg_type, mmsi, *fields)
+
+
+# (bits, the last bit the decoder reads) of any type 1/2/3/18 or 5 message
+MESSAGES = st.one_of(
+    DYNAMIC_FIELDS.map(lambda f: (encode_dynamic(*f), 138 if f[0] == 18 else 142)),
+    STATIC_FIELDS.map(lambda f: (enc.encode_type5(*f), 301)))
+
+
+class TestFieldRoundTrip:
+    """The decoder against the independent encoder, over whole field widths."""
+
+    @given(DYNAMIC_FIELDS)
+    def test_position_report(self, fields):
+        msg_type, mmsi, sog, lon, lat, cog, heading, ts = fields
+        (report,), _ = decode_bits(encode_dynamic(*fields))
+        assert isinstance(report, DynamicAisReport)
+        assert (report.msg_type, report.mmsi) == (msg_type, mmsi)
+        assert fields_match(report.lon, None if abs(lon) > LON_LIMIT else lon / 600000.0)
+        assert fields_match(report.lat, None if abs(lat) > LAT_LIMIT else lat / 600000.0)
+        assert fields_match(report.sog, None if sog == 1023 else sog * 0.51444 / 10.0)
+        assert report.cog == (None if cog >= 3600 else cog / 10.0)
+        assert report.heading == (None if heading == 511 else heading)
+        assert report.timestamp_sec == (None if ts >= 60 else ts)
+
+    @given(STATIC_FIELDS)
+    def test_static_report(self, fields):
+        (mmsi, imo, _, name, type_code, bow, stern, port, starboard, _,
+         draught, _) = fields
+        (report,), _ = decode_bits(enc.encode_type5(*fields))
+        assert report == StaticAisReport(
+            mmsi, imo, name.rstrip("@").strip(), type_code, bow, stern, port,
+            starboard, draught / 10.0)
+
+    @settings(max_examples=25)
+    @given(MESSAGES)
+    def test_every_prefix_short_of_the_last_bit_is_malformed(self, message):
+        bits, last = message
+        for stop in range(last + 1):  # bits[:stop] lacks bit ``last``
+            reports, counters = decode_bits(bits[:stop])
+            assert reports == [] and counters.malformed == 1, stop
+        # the shortest payload that holds the last bit decodes in full
+        assert decode_bits(bits[:last + 1])[0] == decode_bits(bits)[0]
 
 
 class TestFuzzing:

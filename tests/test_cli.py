@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import make_ais_corpus as enc
-from geotrack.ais import StreamCounters
-from geotrack.cli import (EXIT_INPUT, EXIT_OK, EXIT_USAGE, _timed_reports, main,
-                          sphere_error_rows)
+from geotrack.ais import DynamicAisReport, StaticAisReport, StreamCounters, decode_lines
+from geotrack.cli import (_DECODE_CSV_COLUMNS, EXIT_INPUT, EXIT_OK, EXIT_USAGE, _csv_row,
+                          _report_to_dict, _timed_reports, main, sphere_error_rows)
 from geotrack.tracker import TrackTable
 from conftest import DATA_DIR
 
@@ -66,6 +66,14 @@ class TestDecode:
         assert rows[0]["name"] == "ALPHA,BRAVO"
         assert rows[0]["type_code"] == "70"
         assert rows[0]["draught_m"] == "9.8"
+
+    def test_csv_row_holds_the_jsonl_fields_in_column_order(self):
+        with open(CORPUS) as fh:
+            reports = [r for _, r in decode_lines(enumerate(fh))]
+        assert {type(r) for r in reports} == {DynamicAisReport, StaticAisReport}
+        for report in reports:
+            fields = _report_to_dict(report)
+            assert _csv_row(report) == tuple(fields.get(c) for c in _DECODE_CSV_COLUMNS)
 
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(["decode", "-i", "/nonexistent/file.nmea"], capsys)
@@ -199,6 +207,19 @@ class TestTrack:
         code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
         assert code == EXIT_OK
         assert err.splitlines() == ["lines=5 decoded=2 malformed=3 tracks=1 "
+                                    "stale_drops=0 skipped=0 retired=0"]
+
+    def test_sidecar_time_too_large_to_step_is_malformed(self, tmp_path, capsys):
+        # epoch nanoseconds: there a 1 s tick step is below half the float
+        # spacing, and a replay clock at such a time could not move
+        stream = tmp_path / "ns-times.nmea"
+        stream.write_text(self.timed_report(1e18, 366999784, 42.0)
+                          + self.timed_report(1.000000000000001e18, 366999784, 42.0))
+        out = tmp_path / "tracks.csv"
+        code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
+        assert code == EXIT_OK
+        assert out.read_text() == "t,mmsi,lon_deg,lat_deg,sog_mps,cog_deg,p_trace\n"
+        assert err.splitlines() == ["lines=2 decoded=0 malformed=2 tracks=0 "
                                     "stale_drops=0 skipped=0 retired=0"]
 
     def test_reports_stream_as_lines_arrive(self):

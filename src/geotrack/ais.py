@@ -62,15 +62,12 @@ class ConflictingFragments(AisError):
 
 @dataclass(frozen=True)
 class NmeaSentence:
-    tag: str
     fragment_count: int
     fragment_index: int
     sequence_id: Optional[int]
     channel: str
     payload: str
     fill_bits: int
-    checksum: int
-    raw: str
 
 
 @dataclass(frozen=True)
@@ -103,8 +100,8 @@ def compute_checksum(body: str) -> int:
     return functools.reduce(operator.xor, body.encode(), 0)
 
 
-def _split_checksum(line: str) -> tuple[str, int, bool]:
-    """(body, declared checksum, whether the body matches it) of a stripped line."""
+def _split_checksum(line: str) -> tuple[str, bool]:
+    """(body, whether the body matches its declared checksum) of a stripped line."""
     body, star, tail = line[1:].partition("*")
     if not line or line[0] not in "!$" or not star:
         raise MalformedSentence(f"not a checksummed NMEA sentence: {line[:40]!r}")
@@ -116,16 +113,15 @@ def _split_checksum(line: str) -> tuple[str, int, bool]:
         raise MalformedSentence("non-hex checksum digits") from exc
     if not body.isascii():  # NMEA 0183 is ASCII
         raise MalformedSentence("non-ASCII sentence")
-    return body, declared, compute_checksum(body) == declared
+    return body, compute_checksum(body) == declared
 
 
 def verify_checksum(line: str) -> bool:
-    return _split_checksum(line.strip())[2]
+    return _split_checksum(line.strip())[1]
 
 
 def parse_sentence(line: str) -> NmeaSentence:
-    stripped = line.strip()
-    body, checksum, matches = _split_checksum(stripped)
+    body, matches = _split_checksum(line.strip())
     if not matches:
         raise MalformedSentence("checksum mismatch")
     fields = body.split(",")
@@ -143,8 +139,7 @@ def parse_sentence(line: str) -> NmeaSentence:
     seq_id = int(seq) if seq else None
     if count < 1 or not 1 <= index <= count or not 0 <= fill_bits <= 5:
         raise MalformedSentence("fragment bookkeeping out of range")
-    return NmeaSentence(tag, count, index, seq_id, channel, payload,
-                        fill_bits, checksum, stripped)
+    return NmeaSentence(count, index, seq_id, channel, payload, fill_bits)
 
 
 # The armour alphabet (ITU-R M.1371-5, Annex 8): '0'-'W' carry the 6-bit
@@ -311,7 +306,6 @@ class StreamCounters:
     decoded: int = 0
     malformed: int = 0
     unsupported: int = 0
-    pending_fragments: int = 0
 
 
 def decode_lines(tagged_lines: Iterable[tuple[object, str]],
@@ -332,7 +326,6 @@ def decode_lines(tagged_lines: Iterable[tuple[object, str]],
             sentence = parse_sentence(line)
             payload = assembler.add(sentence)
             if payload is None:
-                counters.pending_fragments += 1
                 continue
             report = decode_payload(payload)
         except UnsupportedMessageType:

@@ -56,13 +56,21 @@ def _positive(kind, most: float = math.inf):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a non-negative integer, as a random seed must be."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
+_seed.__name__ = "int"  # argparse names it in "invalid int value"
+
+
 def _open_input(path: str):
     if path == "-":
         return sys.stdin
-    try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise FileNotFoundError(str(exc)) from exc
+    return open(path, "r", encoding="utf-8")
 
 
 def _open_output(path: str):
@@ -201,28 +209,20 @@ def cmd_simulate(args) -> int:
         scenario = sim.boston_departure_scenario()
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    run = sim.run_comparison(scenario, filters=args.filters)
+    run = sim.run_comparison(scenario)
 
+    truth, ukf, ekf = run.truth, run.ukf, run.ekf
+    rows = np.column_stack([truth.t, truth.lon, truth.lat, truth.sog, truth.cog,
+                            ukf.est, ekf.est, ukf.err_pos_m, ekf.err_pos_m,
+                            ukf.sigma3_m])
     with _open_output(args.output) as dst:
         writer = csv.writer(dst, lineterminator="\n")
         writer.writerow(["t", "truth_lon", "truth_lat", "truth_sog", "truth_cog",
                          "ukf_lon", "ukf_lat", "ukf_sog", "ukf_cog",
                          "ekf_lon", "ekf_lat", "ekf_sog", "ekf_cog",
                          "err_ukf_m", "err_ekf_m", "sigma3_m"])
-        truth = run.truth
-        for i in range(len(truth)):
-            ukf_cols = (list(run.ukf.est[i]) if run.ukf else [None] * 4)
-            ekf_cols = (list(run.ekf.est[i]) if run.ekf else [None] * 4)
-            err_u = run.ukf.err_pos_m[i] if run.ukf else None
-            err_e = run.ekf.err_pos_m[i] if run.ekf else None
-            sigma3 = run.ukf.sigma3_m[i] if run.ukf else (
-                run.ekf.sigma3_m[i] if run.ekf else None)
-            row = ([truth.t[i], truth.lon[i], truth.lat[i], truth.sog[i],
-                    truth.cog[i]] + ukf_cols + ekf_cols + [err_u, err_e, sigma3])
-            writer.writerow([None if v is None else float(v) for v in row])
+        writer.writerows(rows.tolist())
     for label, metrics in (("ukf", run.ukf_metrics), ("ekf", run.ekf_metrics)):
-        if metrics is None:
-            continue
         print(f"{label}: rmse_lon={metrics.rmse_lon:.3e} rmse_lat={metrics.rmse_lat:.3e} "
               f"rmse_sog={metrics.rmse_sog:.3f} rmse_cog={metrics.rmse_cog:.3f} "
               f"rmse_pos_m={metrics.rmse_pos_m:.2f} "
@@ -322,15 +322,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="truth + noisy AIS simulation with filters")
     p.add_argument("--scenario", help="scenario file (default: Boston departure)")
-    p.add_argument("--filters", choices=["ukf", "ekf", "both"], default="both")
     p.add_argument("--output", "-o", default="-")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("study", help="error / kinematics studies as CSV")
     p.add_argument("kind", choices=["sphere-error", "plane-error", "wave-table"])
     p.add_argument("--samples", type=_positive(int), default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-distance", type=_positive(float), default=500e3)
     p.add_argument("--grid", type=_positive(int), default=25)
     p.add_argument("--output", "-o", default="-")

@@ -55,10 +55,20 @@ class Scenario:
             raise ValueError("truth_rate_hz must be positive")
         if self.ais_interval < 1.0 / self.truth_rate_hz:
             raise ValueError("ais_interval must be >= one truth step")
+        # the filters start from the report at step 0
+        if self.n_steps < 1:
+            raise ValueError("scenario must span at least one truth step")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def duration(self) -> float:
         return sum(s.duration for s in self.segments)
+
+    @property
+    def n_steps(self) -> int:
+        """Truth steps at t = 0, dt, ..., duration - dt (dt = 1/truth_rate_hz)."""
+        return int(math.floor(self.duration * self.truth_rate_hz + 1e-9))
 
 
 @dataclass
@@ -81,7 +91,7 @@ def generate_truth(scenario: Scenario, rng: np.random.Generator | None = None
     """Truth states at t = 0, dt, ..., duration - dt (dt = 1/truth_rate_hz)."""
     rng = np.random.default_rng(scenario.seed) if rng is None else rng
     dt = 1.0 / scenario.truth_rate_hz
-    n = int(math.floor(scenario.duration * scenario.truth_rate_hz + 1e-9))
+    n = scenario.n_steps
 
     segments = list(scenario.segments)
     seg_idx = 0
@@ -166,8 +176,8 @@ class RunMetrics:
 
 @dataclass
 class FilterRunRecord:
-    """Per-step estimates for one filter over one scenario run."""
-    t: np.ndarray
+    """Per-step estimates of one filter over one scenario run, scored
+    against the truth."""
     est: np.ndarray       # (n, 4) lon, lat, sog, cog
     err_pos_m: np.ndarray
     sigma3_m: np.ndarray
@@ -183,19 +193,17 @@ def _position_error_m(lon1, lat1, lon2, lat2) -> float:
     return dist
 
 
-def _metrics(truth: TruthTrajectory, record: FilterRunRecord, idx: np.ndarray
-             ) -> RunMetrics:
-    res = record.est[idx] - np.column_stack(
-        [truth.lon[idx], truth.lat[idx], truth.sog[idx], truth.cog[idx]])
+def _metrics(truth: TruthTrajectory, record: FilterRunRecord) -> RunMetrics:
+    res = record.est - np.column_stack([truth.lon, truth.lat, truth.sog, truth.cog])
     res[:, 3] = (res[:, 3] + 180.0) % 360.0 - 180.0
     rmse = np.sqrt(np.mean(res ** 2, axis=0))
     return RunMetrics(
         rmse_lon=float(rmse[0]), rmse_lat=float(rmse[1]),
         rmse_sog=float(rmse[2]), rmse_cog=float(rmse[3]),
-        rmse_pos_m=float(np.sqrt(np.mean(record.err_pos_m[idx] ** 2))),
-        frac_within_3sigma=float(np.mean(record.err_pos_m[idx] < record.sigma3_m[idx])),
-        max_cov_trace=float(np.max(record.cov_trace[idx])),
-        median_cov_trace=float(np.median(record.cov_trace[idx])),
+        rmse_pos_m=float(np.sqrt(np.mean(record.err_pos_m ** 2))),
+        frac_within_3sigma=float(np.mean(record.err_pos_m < record.sigma3_m)),
+        max_cov_trace=float(np.max(record.cov_trace)),
+        median_cov_trace=float(np.median(record.cov_trace)),
     )
 
 
@@ -209,85 +217,56 @@ def _position_sigma3_m(p00: float, p11: float, lat_deg: float) -> float:
 class ComparisonRun:
     scenario: Scenario
     truth: TruthTrajectory
-    ukf: FilterRunRecord | None
-    ekf: FilterRunRecord | None
-    ukf_metrics: RunMetrics | None
-    ekf_metrics: RunMetrics | None
+    ukf: FilterRunRecord
+    ekf: FilterRunRecord
+    ukf_metrics: RunMetrics
+    ekf_metrics: RunMetrics
 
 
-def run_comparison(scenario: Scenario, filters: str = "both") -> ComparisonRun:
+def _score(truth: TruthTrajectory, est: np.ndarray, cov: np.ndarray,
+           sigma3_m: np.ndarray) -> FilterRunRecord:
+    err = np.array([_position_error_m(lon, lat, t_lon, t_lat) for lon, lat, t_lon, t_lat
+                    in zip(est[:, 0], est[:, 1], truth.lon, truth.lat)])
+    return FilterRunRecord(est, err, sigma3_m, np.trace(cov, axis1=1, axis2=2))
+
+
+def run_comparison(scenario: Scenario) -> ComparisonRun:
     """Run the geodetic and planar filters on one shared measurement stream,
-    stepping both at the truth rate."""
-    if filters not in ("ukf", "ekf", "both"):
-        raise ValueError("filters must be 'ukf', 'ekf', or 'both'")
+    stepping both at the truth rate from the first report at t = 0."""
     truth = generate_truth(scenario)
     # reports keyed by truth index
     measurements = {round(tm * scenario.truth_rate_hz): meas
                     for tm, meas in sample_ais(truth, scenario)}
-
-    first_key = min(measurements)
-    first_meas = measurements[first_key]
-    run_ukf = filters in ("ukf", "both")
-    run_ekf = filters in ("ekf", "both")
-
-    ukf = GeodeticUkf.from_first_measurement(first_meas) if run_ukf else None
-    ekf = (PlanarEkf.from_first_measurement(first_meas,
-                                            plane=TangentPlane(scenario.start))
-           if run_ekf else None)
+    ukf = GeodeticUkf.from_first_measurement(measurements[0])
+    ekf = PlanarEkf.from_first_measurement(measurements[0],
+                                           plane=TangentPlane(scenario.start))
 
     dt = 1.0 / scenario.truth_rate_hz
-    n_steps = len(truth)
-
-    def new_record():
-        return FilterRunRecord(truth.t.copy(), np.zeros((n_steps, 4)),
-                               np.zeros(n_steps), np.zeros(n_steps),
-                               np.zeros(n_steps))
-
-    rec_ukf = new_record() if run_ukf else None
-    rec_ekf = new_record() if run_ekf else None
-
-    def record_ukf(i):
-        b = ukf.belief
-        rec_ukf.est[i] = b.mean.as_vector()
-        rec_ukf.err_pos_m[i] = _position_error_m(b.mean.lon, b.mean.lat,
-                                                 truth.lon[i], truth.lat[i])
-        rec_ukf.sigma3_m[i] = _position_sigma3_m(b.cov[0, 0], b.cov[1, 1], b.mean.lat)
-        rec_ukf.cov_trace[i] = np.trace(b.cov)
-
-    def record_ekf(i):
-        pos = ekf.geodetic_position()
-        rec_ekf.est[i] = [pos.lon, pos.lat, ekf.state.sog, ekf.cog_deg]
-        rec_ekf.err_pos_m[i] = _position_error_m(pos.lon, pos.lat,
-                                                 truth.lon[i], truth.lat[i])
-        rec_ekf.sigma3_m[i] = 3.0 * math.sqrt(
-            max(0.0, ekf.p[0, 0]) + max(0.0, ekf.p[1, 1]))
-        rec_ekf.cov_trace[i] = np.trace(ekf.p)
-
-    if run_ukf:
-        record_ukf(first_key)
-    if run_ekf:
-        record_ekf(first_key)
-
-    for i in range(first_key + 1, n_steps):
-        if run_ukf:
+    n = len(truth)
+    ukf_est, ekf_est = np.zeros((n, 4)), np.zeros((n, 4))
+    ukf_cov, ekf_cov = np.zeros((n, 4, 4)), np.zeros((n, 4, 4))
+    for i in range(n):
+        if i:
             ukf.predict(dt)
-        if run_ekf:
             ekf.predict(dt)
-        meas = measurements.get(i)
-        if meas is not None:
-            if run_ukf:
+            meas = measurements.get(i)
+            if meas is not None:
                 ukf.update(meas)
-            if run_ekf:
                 ekf.update(meas)
-        if run_ukf:
-            record_ukf(i)
-        if run_ekf:
-            record_ekf(i)
+        ukf_est[i], ukf_cov[i] = ukf.belief.mean.as_vector(), ukf.belief.cov
+        pos = ekf.geodetic_position()
+        ekf_est[i] = pos.lon, pos.lat, ekf.state.sog, ekf.cog_deg
+        ekf_cov[i] = ekf.p
 
-    scored = np.arange(first_key, n_steps)
-    ukf_metrics = _metrics(truth, rec_ukf, scored) if run_ukf else None
-    ekf_metrics = _metrics(truth, rec_ekf, scored) if run_ekf else None
-    return ComparisonRun(scenario, truth, rec_ukf, rec_ekf, ukf_metrics, ekf_metrics)
+    ukf_sigma3 = np.array([_position_sigma3_m(c[0, 0], c[1, 1], lat)
+                           for c, lat in zip(ukf_cov, ukf_est[:, 1])])
+    # the EKF's position covariance is already in metres on its plane
+    ekf_sigma3 = 3.0 * np.sqrt(np.maximum(0.0, ekf_cov[:, 0, 0])
+                               + np.maximum(0.0, ekf_cov[:, 1, 1]))
+    rec_ukf = _score(truth, ukf_est, ukf_cov, ukf_sigma3)
+    rec_ekf = _score(truth, ekf_est, ekf_cov, ekf_sigma3)
+    return ComparisonRun(scenario, truth, rec_ukf, rec_ekf,
+                         _metrics(truth, rec_ukf), _metrics(truth, rec_ekf))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +358,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     missing = [k for k in ("start_lon", "start_lat") if k not in keys]
     if missing:
         raise ValueError(f"scenario has no {' or '.join(missing)}")
+    seed = keys.get("seed", 0.0)
+    if not seed.is_integer():
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     return Scenario(
         start=GeoPoint(keys["start_lon"], keys["start_lat"]),
         initial_cog=keys.get("initial_cog", 0.0),
@@ -391,7 +373,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                     keys.get("meas_lat_noise", 1.45e-5),
                     keys.get("meas_sog_noise", 0.05),
                     keys.get("meas_cog_noise", 0.2)),
-        seed=int(keys.get("seed", 0)),
+        seed=int(seed),
         name=name,
     )
 

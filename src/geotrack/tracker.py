@@ -24,7 +24,6 @@ TRACK_FAILURES = (DomainError, FactorizationFailure, SingularInnovation)
 class Track:
     mmsi: int
     filt: GeodeticUkf
-    last_update: float  # time the belief is valid for
     last_seen: float    # time of the last accepted report
 
     @property
@@ -75,10 +74,8 @@ class TrackTable:
     def _predict_to(self, track: Track, t: float) -> None:
         """Advance a track to time t in fixed-rate steps plus a final partial step."""
         step = 1.0 / self.filter_rate_hz
-        while t - track.last_update > 1e-9:
-            dt = min(step, t - track.last_update)
-            track.filt.predict(dt)
-            track.last_update += dt
+        while t - track.belief.timestamp > 1e-9:
+            track.filt.predict(min(step, t - track.belief.timestamp))
 
     def ingest(self, report: DynamicAisReport, t: float) -> str:
         """Route one report; returns the applied event kind."""
@@ -90,13 +87,13 @@ class TrackTable:
                 self.skipped_reports += 1
                 return "skipped"
             filt = GeodeticUkf.from_first_measurement(meas, timestamp=t)
-            self.tracks[report.mmsi] = Track(report.mmsi, filt, t, t)
+            self.tracks[report.mmsi] = Track(report.mmsi, filt, t)
             return "created"
-        if t < track.last_update - OUT_OF_ORDER_TOLERANCE_S:
+        if t < track.belief.timestamp - OUT_OF_ORDER_TOLERANCE_S:
             self.stale_drops += 1
             return "dropped_stale"
         try:
-            if t >= track.last_update:
+            if t >= track.belief.timestamp:
                 self._predict_to(track, t)
             belief = track.filt.update(meas)
         except TRACK_FAILURES:
@@ -121,7 +118,6 @@ class TrackTable:
                 continue
             tr.filt.belief = GaussianBelief(GeodeticState.from_vector(m), c,
                                             tr.belief.timestamp + d)
-            tr.last_update += d
 
     def tick(self, t: float) -> list[tuple[int, GaussianBelief]]:
         """Predict every live track to time t, dropping stale ones first; all
@@ -130,6 +126,7 @@ class TrackTable:
                      if t - tr.last_seen > self.stale_timeout]:
             del self.tracks[mmsi]
         step = 1.0 / self.filter_rate_hz
-        while due := [tr for tr in self.tracks.values() if t - tr.last_update > 1e-9]:
-            self._step(due, [min(step, t - tr.last_update) for tr in due])
+        while due := [tr for tr in self.tracks.values()
+                      if t - tr.belief.timestamp > 1e-9]:
+            self._step(due, [min(step, t - tr.belief.timestamp) for tr in due])
         return [(mmsi, self.tracks[mmsi].belief) for mmsi in sorted(self.tracks)]

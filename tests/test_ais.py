@@ -205,8 +205,8 @@ class TestFragmentAssembly:
 
     def test_conflicting_fragment_count(self):
         s1, _ = self._static_pair()
-        conflict = ais.NmeaSentence(s1.tag, 3, 1, s1.sequence_id, s1.channel,
-                                    s1.payload, s1.fill_bits, s1.checksum, s1.raw)
+        conflict = ais.NmeaSentence(3, 1, s1.sequence_id, s1.channel,
+                                    s1.payload, s1.fill_bits)
         asm = FragmentAssembler()
         asm.add(s1)
         with pytest.raises(ConflictingFragments):

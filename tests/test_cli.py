@@ -262,12 +262,14 @@ class TestSimulate:
         scn = os.path.join(os.path.dirname(DATA_DIR), "..",
                            "scenarios", "boston_departure.scn")
         out = tmp_path / "run.csv"
-        code, _, _ = run_cli(["simulate", "--scenario", scn, "-o", str(out),
-                              "--filters", "ukf"], capsys)
+        code, _, _ = run_cli(["simulate", "--scenario", scn, "-o", str(out)], capsys)
         assert code == EXIT_OK
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows[0]["ekf_lon"] == ""
+        assert rows
+        filter_columns = [c for c in rows[0] if c.startswith(("ukf_", "ekf_"))]
+        assert len(filter_columns) == 8
+        assert all(row[c] != "" for row in rows for c in filter_columns)
 
     @pytest.mark.parametrize("text", [
         "garbage\n",
@@ -275,7 +277,11 @@ class TestSimulate:
         "start_lon = -71.0\n[segments]\nstraight 60 7\n",
         "start_lon = -71.0\nstart_lat = 42.3\n[segments]\nwarp 60 7\n",
         "start_lon = -71.0\nstart_lat = 95\n[segments]\nstraight 60 7\n",
-    ], ids=["garbage", "empty", "no-start-lat", "unknown-kind", "lat-95"])
+        "start_lon = -71.0\nstart_lat = 42.3\nseed = -3\n[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\nseed = 2.7\n[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\n[segments]\nstraight 0.5 7\n",
+    ], ids=["garbage", "empty", "no-start-lat", "unknown-kind", "lat-95",
+            "negative-seed", "fractional-seed", "shorter-than-one-step"])
     def test_bad_scenario_file_is_input_error(self, text, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
         scn.write_text(text)
@@ -338,6 +344,8 @@ class TestUsage:
         ["study", "plane-error", "--max-distance", "6.371e6"],
         ["study", "plane-error", "--max-distance", "1e7"],
         ["track", "--rate", "1e20"],
+        ["simulate", "--seed", "-1"],
+        ["study", "sphere-error", "--seed", "-1"],
     ])
     def test_bad_numeric_value(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -124,20 +124,10 @@ class TestComparisonRuns:
 
     def test_boston_run_structure(self):
         run = run_comparison(boston_departure_scenario(seed=0))
-        assert run.ukf is not None and run.ekf is not None
         n = len(run.truth)
-        assert run.ukf.est.shape == (n, 4)
+        assert run.ukf.est.shape == run.ekf.est.shape == (n, 4)
         assert run.ukf_metrics.rmse_pos_m > 0.0
         assert 0.0 <= run.ukf_metrics.frac_within_3sigma <= 1.0
-
-    def test_single_filter_selection(self):
-        sc = noiseless(straight_scenario(duration=60.0))
-        only_ukf = run_comparison(sc, filters="ukf")
-        assert only_ukf.ekf is None and only_ukf.ekf_metrics is None
-        only_ekf = run_comparison(sc, filters="ekf")
-        assert only_ekf.ukf is None and only_ekf.ukf_metrics is None
-        with pytest.raises(ValueError):
-            run_comparison(sc, filters="nope")
 
     @pytest.mark.parametrize("rate_hz", [2.0, 0.5])
     def test_every_truth_step_filled_and_scored(self, rate_hz):

@@ -122,7 +122,6 @@ class TestPrediction:
         table = TrackTable(filter_rate_hz=1.0)
         table.ingest(report(1, -71.0, 42.3), 0.0)
         table.tick(10.5)
-        assert table.tracks[1].last_update == pytest.approx(10.5, abs=1e-9)
         assert table.tracks[1].belief.timestamp == pytest.approx(10.5, abs=1e-9)
 
     def test_speed_only_report_leaves_course(self):
@@ -153,7 +152,7 @@ class TestMeasurementMapping:
 
 class TestStackedTick:
     def test_staggered_tracks_match_per_track_stepping(self, monkeypatch):
-        """Tracks at different last_update times share each stacked step and
+        """Tracks at different belief times share each stacked step and
         land exactly where stepping each filter alone would take them."""
         births = {1: (0.0, -71.0, 42.3), 2: (0.4, 179.9999, 10.0), 3: (2.7, -70.5, -33.0)}
         table = TrackTable()

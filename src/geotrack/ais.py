@@ -1,8 +1,8 @@
 """AIVDM/NMEA 0183 decoder for AIS message types 1, 2, 3, 18 and 5.
 
-The pipeline is: checksum verification -> multi-fragment assembly -> 6-bit
-payload de-armoring into one integer -> bit-field extraction by shift and
-mask.  Decoded fields that carry the protocol's "not available" sentinels
+The pipeline is: sidecar time split -> checksum verification ->
+multi-fragment assembly -> 6-bit payload de-armoring into one integer ->
+bit-field extraction by shift and mask.  Decoded fields that carry the protocol's "not available" sentinels
 come back as ``None``.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import binascii
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -49,10 +50,6 @@ class UnsupportedMessageType(AisError):
 
 
 class TruncatedPayload(AisError):
-    pass
-
-
-class IncompleteMessage(AisError):
     pass
 
 
@@ -114,10 +111,6 @@ def _split_checksum(line: str) -> tuple[str, bool]:
     if not body.isascii():  # NMEA 0183 is ASCII
         raise MalformedSentence("non-ASCII sentence")
     return body, compute_checksum(body) == declared
-
-
-def verify_checksum(line: str) -> bool:
-    return _split_checksum(line.strip())[1]
 
 
 def parse_sentence(line: str) -> NmeaSentence:
@@ -222,17 +215,6 @@ class FragmentAssembler:
             del pending[key]
 
 
-def assemble_fragments(sentences: list[NmeaSentence]) -> tuple[int, int]:
-    """Assemble a complete fragment set (any order) into one (value, bit count)."""
-    asm = FragmentAssembler()
-    result = None
-    for s in sorted(sentences, key=lambda s: s.fragment_index):
-        result = asm.add(s)
-    if result is None:
-        raise IncompleteMessage("fragment set is not complete")
-    return result
-
-
 # The last bit each decoded message type is read up to (ITU-R M.1371-5 bit
 # map, bit 0 first): the time stamp of a position report, the draught of a
 # type 5. Class B (18) fields from SOG on sit 4 bits before the Class A ones,
@@ -308,22 +290,49 @@ class StreamCounters:
     unsupported: int = 0
 
 
-def decode_lines(tagged_lines: Iterable[tuple[object, str]],
-                 counters: StreamCounters | None = None):
-    """Decode a stream of ``(tag, line)`` pairs lazily, yielding
-    ``(tag, report)`` with the tag of the line that completed the report.
+# A sidecar time must lie below this many seconds. Up to it, the float
+# spacing of a time is at most 2**-10 s, far under the shortest replay tick
+# (10 ms, at `track --rate 100`), so each tick step moves the clock; epoch
+# seconds and epoch milliseconds fit, epoch nanoseconds do not.
+MAX_SIDECAR_TIME_S = 2.0 ** 43
 
-    Never raises on bad input; every malformed or unsupported line is counted
-    and skipped.
+
+def _sidecar_split(line: str) -> tuple[float | None, str]:
+    """(leading sidecar time or None, NMEA text) of one input line.
+
+    Only a finite number below MAX_SIDECAR_TIME_S in magnitude is a time; a
+    line with any other head is passed on whole, and the decoder counts it
+    as malformed.
+    """
+    if not line.lstrip().startswith(("!", "$")) and "," in line:
+        head, rest = line.split(",", 1)
+        try:
+            t = float(head)
+        except ValueError:
+            t = math.nan
+        if abs(t) < MAX_SIDECAR_TIME_S:  # False for nan and inf
+            return t, rest
+    return None, line
+
+
+def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None):
+    """Decode text lines lazily, yielding ``(t, report)``: ``t`` is the
+    sidecar time of the line that completed the report, or None.
+
+    A line is an NMEA sentence, optionally after a sidecar time and a comma
+    (``12.5,!AIVDM,...``). Every non-blank line counts once in
+    ``counters.lines``. Never raises on bad input; every malformed or
+    unsupported line is counted and skipped.
     """
     counters = counters if counters is not None else StreamCounters()
     assembler = FragmentAssembler()
-    for tag, line in tagged_lines:
+    for line in lines:
         if not line.strip():
             continue
         counters.lines += 1
+        t, sentence_text = _sidecar_split(line)
         try:
-            sentence = parse_sentence(line)
+            sentence = parse_sentence(sentence_text)
             payload = assembler.add(sentence)
             if payload is None:
                 continue
@@ -335,4 +344,4 @@ def decode_lines(tagged_lines: Iterable[tuple[object, str]],
             counters.malformed += 1
             continue
         counters.decoded += 1
-        yield tag, report
+        yield t, report

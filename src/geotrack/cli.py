@@ -16,8 +16,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import ais, geodesy, noise, sim
-from .ais import DynamicAisReport, StaticAisReport, StreamCounters
+from ._linalg import SingularInnovation
+from .ais import DynamicAisReport, StreamCounters
 from .tracker import TrackTable
+from .ukf import FactorizationFailure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,20 +81,6 @@ def _open_output(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _report_to_dict(report) -> dict:
-    if isinstance(report, DynamicAisReport):
-        return {"kind": "dynamic", "mmsi": report.mmsi, "msg_type": report.msg_type,
-                "lon_deg": report.lon, "lat_deg": report.lat,
-                "sog_mps": report.sog, "cog_deg": report.cog,
-                "heading_deg": report.heading, "timestamp_sec": report.timestamp_sec}
-    assert isinstance(report, StaticAisReport)
-    return {"kind": "static", "mmsi": report.mmsi, "msg_type": 5,
-            "imo": report.imo, "name": report.name, "type_code": report.type_code,
-            "dim_to_bow_m": report.dim_to_bow, "dim_to_stern_m": report.dim_to_stern,
-            "dim_to_port_m": report.dim_to_port,
-            "dim_to_starboard_m": report.dim_to_starboard,
-            "draught_m": report.draught}
-
 _DECODE_CSV_COLUMNS = ["kind", "mmsi", "msg_type", "lon_deg", "lat_deg", "sog_mps",
                        "cog_deg", "heading_deg", "timestamp_sec", "imo", "name",
                        "type_code", "dim_to_bow_m", "dim_to_stern_m", "dim_to_port_m",
@@ -111,13 +99,24 @@ def _csv_row(report) -> tuple:
             report.draught)
 
 
+# The columns a JSONL record of each kind holds, in ``_DECODE_CSV_COLUMNS``
+# order: a record leaves out the columns its kind never fills.
+_JSONL_COLUMNS = {"dynamic": _DECODE_CSV_COLUMNS[:9],
+                  "static": _DECODE_CSV_COLUMNS[:3] + _DECODE_CSV_COLUMNS[9:]}
+
+
+def _jsonl_record(report) -> str:
+    row = dict(zip(_DECODE_CSV_COLUMNS, _csv_row(report)))
+    return json.dumps({c: row[c] for c in _JSONL_COLUMNS[row["kind"]]})
+
+
 def cmd_decode(args) -> int:
     counters = StreamCounters()
     with _open_input(args.input) as src, _open_output(args.output) as dst:
-        reports = ais.decode_lines(enumerate(src), counters)
+        reports = ais.decode_lines(src, counters)
         if args.format == "jsonl":
             for _, report in reports:
-                dst.write(json.dumps(_report_to_dict(report)) + "\n")
+                dst.write(_jsonl_record(report) + "\n")
         else:
             writer = csv.writer(dst, lineterminator="\n")
             writer.writerow(_DECODE_CSV_COLUMNS)
@@ -133,37 +132,12 @@ def cmd_decode(args) -> int:
 _SYNTHETIC_INTERVAL_S = {18: 30.0, 1: 10.0, 2: 10.0, 3: 10.0}
 
 
-# A sidecar time must lie below this many seconds. Up to it, the float
-# spacing of a time is at most 2**-10 s, far under the shortest tick of
-# 1 / MAX_RATE_HZ, so each tick step moves the clock; epoch seconds and epoch
-# milliseconds fit, epoch nanoseconds do not.
-MAX_SIDECAR_TIME_S = 2.0 ** 43
-
-
-def _sidecar_split(line: str) -> tuple[float | None, str]:
-    """(leading sidecar time or None, NMEA text) of one input line.
-
-    Only a finite number below MAX_SIDECAR_TIME_S in magnitude is a time; a
-    line with any other head is passed on whole, and the decoder counts it
-    as malformed.
-    """
-    if not line.lstrip().startswith(("!", "$")) and "," in line:
-        head, rest = line.split(",", 1)
-        try:
-            t = float(head)
-        except ValueError:
-            t = math.nan
-        if abs(t) < MAX_SIDECAR_TIME_S:  # False for nan and inf
-            return t, rest
-    return None, line
-
-
 def _timed_reports(lines, counters: StreamCounters):
     """Yield (t, report) pairs as the lines arrive; time comes from a leading
     sidecar column when present, else from per-MMSI synthetic arrival at
     class-typical rates."""
     synthetic_clock: dict[int, float] = {}
-    for t, report in ais.decode_lines(map(_sidecar_split, lines), counters):
+    for t, report in ais.decode_lines(lines, counters):
         if not isinstance(report, DynamicAisReport):
             continue
         if t is None:
@@ -347,8 +321,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (geodesy.NonConvergenceError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (geodesy.DomainError, geodesy.NonConvergenceError, FactorizationFailure,
+            SingularInnovation, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

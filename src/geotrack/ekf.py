@@ -16,9 +16,6 @@ from ._linalg import masked_joseph_update, symmetrize
 from .geodesy import WGS84_E2 as _E2, WGS84_SEMI_MAJOR_M, GeoPoint
 from .ukf import Measurement
 
-# Boston Harbor origin used for the head-to-head comparison runs.
-DEFAULT_ORIGIN = GeoPoint(-71.0237, 42.3469)
-
 # Default EKF tuning (planar/SI units).
 DEFAULT_P0 = 0.1 * np.eye(4)
 DEFAULT_Q = np.diag([0.01, 0.01, 0.1, 0.1])
@@ -56,7 +53,7 @@ def ecef_to_geodetic(ecef: np.ndarray) -> GeoPoint:
 class TangentPlane:
     """Local NED frame tangent to the WGS84 ellipsoid at ``origin``."""
 
-    origin: GeoPoint = DEFAULT_ORIGIN
+    origin: GeoPoint
     _ecef0: np.ndarray = field(init=False, repr=False)
     _rot: np.ndarray = field(init=False, repr=False)  # ECEF -> NED rotation
 
@@ -160,15 +157,14 @@ def measurement_to_planar(meas: Measurement, plane: TangentPlane) -> Measurement
 class PlanarEkf:
     """Stateful EKF baseline mirroring the geodetic filter's interface."""
 
-    def __init__(self, state: PlanarState, plane: TangentPlane | None = None):
+    def __init__(self, state: PlanarState, plane: TangentPlane):
         self.state = state
         self.p = DEFAULT_P0.copy()
-        self.plane = plane or TangentPlane()
+        self.plane = plane
 
     @classmethod
     def from_first_measurement(cls, meas: Measurement,
-                               plane: TangentPlane | None = None) -> "PlanarEkf":
-        plane = plane or TangentPlane()
+                               plane: TangentPlane) -> "PlanarEkf":
         pm = measurement_to_planar(meas, plane)
         state = PlanarState(pm.z[0], pm.z[1], pm.z[2], pm.z[3])
         return cls(state, plane)

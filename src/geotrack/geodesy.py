@@ -55,7 +55,6 @@ class GeoPoint:
 class GeodesicSolution:
     destination: GeoPoint
     final_bearing: float
-    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +185,8 @@ def vincenty_direct(p: GeoPoint, bearing_deg: float, distance_m: float) -> Geode
     """Solve the direct geodesic problem on the ellipsoid; sub-millimeter accuracy."""
     if distance_m < 0:
         raise DomainError("distance must be nonnegative")
-    lon2, lat2, alpha2, iters = vincenty_direct_arrays(p.lon, p.lat, bearing_deg, distance_m)
-    return GeodesicSolution(GeoPoint(lon2, lat2), alpha2, max(iters, 1))
+    lon2, lat2, alpha2, _ = vincenty_direct_arrays(p.lon, p.lat, bearing_deg, distance_m)
+    return GeodesicSolution(GeoPoint(lon2, lat2), alpha2)
 
 
 def vincenty_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
@@ -270,11 +269,6 @@ def sample_uniform_sphere_arrays(n: int, rng_seed: int):
     return lon, lat
 
 
-def sample_uniform_sphere(n: int, rng_seed: int) -> list[GeoPoint]:
-    lon, lat = sample_uniform_sphere_arrays(n, rng_seed)
-    return [GeoPoint(float(x), float(y)) for x, y in zip(lon, lat)]
-
-
 # ---------------------------------------------------------------------------
 # Tangent-plane linearization error
 # ---------------------------------------------------------------------------
@@ -301,12 +295,3 @@ def tangent_plane_separation_error(l1: float, l2: float, gamma: float
     chord = math.sqrt(delta_l ** 2 + dz ** 2)
     delta_s = 2.0 * radius * math.asin(min(1.0, chord / (2.0 * radius)))
     return delta_l, delta_s, delta_s - delta_l
-
-
-def great_circle_separation_error(s1: float, s2: float) -> float:
-    """Separation error for two points on a shared great circle through the origin."""
-    radius = MEAN_EARTH_RADIUS_M
-    delta_s = abs(s2 - s1)
-    delta_l = 2.0 * radius * abs(math.sin((s2 - s1) / (2.0 * radius))
-                                 * math.cos((s1 + s2) / (2.0 * radius)))
-    return delta_s - delta_l

@@ -55,6 +55,11 @@ class Scenario:
             raise ValueError("truth_rate_hz must be positive")
         if self.ais_interval < 1.0 / self.truth_rate_hz:
             raise ValueError("ais_interval must be >= one truth step")
+        # reports are sampled on the truth grid, every ais_interval / dt steps
+        steps = self.ais_interval * self.truth_rate_hz
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"ais_interval must be a whole number of truth steps "
+                             f"of {1.0 / self.truth_rate_hz:g} s, got {self.ais_interval:g}")
         # the filters start from the report at step 0
         if self.n_steps < 1:
             raise ValueError("scenario must span at least one truth step")
@@ -238,8 +243,7 @@ def run_comparison(scenario: Scenario) -> ComparisonRun:
     measurements = {round(tm * scenario.truth_rate_hz): meas
                     for tm, meas in sample_ais(truth, scenario)}
     ukf = GeodeticUkf.from_first_measurement(measurements[0])
-    ekf = PlanarEkf.from_first_measurement(measurements[0],
-                                           plane=TangentPlane(scenario.start))
+    ekf = PlanarEkf.from_first_measurement(measurements[0], TangentPlane(scenario.start))
 
     dt = 1.0 / scenario.truth_rate_hz
     n = len(truth)

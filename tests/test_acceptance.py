@@ -268,7 +268,7 @@ class TestAcceptance:
             truth = json.load(fh)
 
         counters = ais.StreamCounters()
-        reports = [r for _, r in ais.decode_lines(enumerate(lines), counters)]
+        reports = [r for _, r in ais.decode_lines(lines, counters)]
         agree = len(reports) == truth["n_reports"]
         saw_multifragment_static = False
         for got, want in zip(reports, truth["reports"]):
@@ -312,7 +312,7 @@ class TestAcceptance:
                 fuzz.append(f"!{body}*{ais.compute_checksum(body):02X}")
         crashed = False
         try:
-            for _ in ais.decode_lines(enumerate(fuzz)):
+            for _ in ais.decode_lines(fuzz):
                 pass
         except Exception:
             crashed = True

@@ -11,19 +11,16 @@ from geotrack import ais
 from geotrack.ais import (
     DynamicAisReport,
     FragmentAssembler,
-    IncompleteMessage,
     ConflictingFragments,
     MalformedSentence,
     StaticAisReport,
     StreamCounters,
     UnsupportedMessageType,
-    assemble_fragments,
     compute_checksum,
     dearmor,
     decode_lines,
     decode_payload,
     parse_sentence,
-    verify_checksum,
 )
 from conftest import DATA_DIR
 
@@ -53,7 +50,7 @@ class TestCorpusAgreement:
     def test_every_field_of_every_report(self):
         expected = truth()
         counters = StreamCounters()
-        reports = [r for _, r in decode_lines(enumerate(corpus_lines()), counters)]
+        reports = [r for _, r in decode_lines(corpus_lines(), counters)]
         assert len(reports) == expected["n_reports"]
         assert counters.lines == expected["n_lines"]
         assert counters.malformed == expected["n_malformed"]
@@ -77,7 +74,7 @@ class TestCorpusAgreement:
                         key, got, want)
 
     def test_known_vessel_static_report(self):
-        statics = [r for _, r in decode_lines(enumerate(corpus_lines()))
+        statics = [r for _, r in decode_lines(corpus_lines())
                    if isinstance(r, StaticAisReport)]
         by_mmsi = {r.mmsi: r for r in statics}
         glovis = by_mmsi[440292000]
@@ -87,7 +84,7 @@ class TestCorpusAgreement:
 
     def test_sog_worked_example(self):
         # raw 100 tenths-of-knots -> 5.1444 m/s
-        _, first = next(decode_lines(enumerate(corpus_lines())))
+        _, first = next(decode_lines(corpus_lines()))
         assert first.sog == pytest.approx(5.1444, rel=1e-12)
 
 
@@ -124,13 +121,14 @@ class TestSentenceParsing:
         good = next(ln for ln in corpus_lines() if ln.startswith("!AIVDM"))
         body, _, tail = good[1:].partition("*")
         flipped = f"!{body}*{(int(tail[:2], 16) ^ 0x01):02X}"
-        assert verify_checksum(good) is True
-        assert verify_checksum(flipped) is False
+        parse_sentence(good)
+        with pytest.raises(MalformedSentence, match="checksum mismatch"):
+            parse_sentence(flipped)
 
     def test_compute_checksum(self):
         body = "AIVDM,1,1,,A,13u?etPv2;0n:dDPwUM1U1Cb069D,0"
         line = f"!{body}*{compute_checksum(body):02X}"
-        assert verify_checksum(line)
+        assert parse_sentence(line).payload == "13u?etPv2;0n:dDPwUM1U1Cb069D"
 
     def test_malformed_field_count(self):
         with pytest.raises(MalformedSentence):
@@ -142,7 +140,7 @@ class TestSentenceParsing:
         payload, fill = enc.armor_bits(base4)
         body = f"AIVDM,1,1,,A,{payload},{fill}"
         line = f"!{body}*{compute_checksum(body):02X}"
-        out = list(decode_lines([(0, line)], counters))
+        out = list(decode_lines([line], counters))
         assert out == []
         assert counters.unsupported == 1
         assert counters.malformed == 0
@@ -158,16 +156,22 @@ class TestFragmentAssembly:
                         return parse_sentence(lines[i]), parse_sentence(lines[j])
         raise AssertionError("no fragment pair in corpus")
 
+    @staticmethod
+    def assemble(sentences):
+        """What one FragmentAssembler returns for each sentence, in order."""
+        asm = FragmentAssembler()
+        return [asm.add(s) for s in sentences]
+
     def test_order_independence(self):
         s1, s2 = self._static_pair()
-        assert assemble_fragments([s1, s2]) == assemble_fragments([s2, s1])
-        report = decode_payload(assemble_fragments([s2, s1]))
-        assert isinstance(report, StaticAisReport)
+        in_order, reversed_ = self.assemble([s1, s2]), self.assemble([s2, s1])
+        assert in_order[0] is None and reversed_[0] is None
+        assert in_order[1] == reversed_[1]
+        assert isinstance(decode_payload(reversed_[1]), StaticAisReport)
 
-    def test_incomplete_raises(self):
+    def test_incomplete_set_yields_nothing(self):
         s1, _ = self._static_pair()
-        with pytest.raises(IncompleteMessage):
-            assemble_fragments([s1])
+        assert self.assemble([s1]) == [None]
 
     @staticmethod
     def type5_fragments(mmsi, name, draught_raw, seq=3):
@@ -186,7 +190,7 @@ class TestFragmentAssembly:
 
         def statics(gap):
             lines = [first] + [single] * gap + [second]
-            return [r for _, r in decode_lines(enumerate(lines))
+            return [r for _, r in decode_lines(lines)
                     if isinstance(r, StaticAisReport)]
 
         assert [r.mmsi for r in statics(ais.FRAGMENT_WINDOW)] == [211000001]
@@ -198,7 +202,7 @@ class TestFragmentAssembly:
         b = self.type5_fragments(211000002, "BRAVO", 22)
         c = self.type5_fragments(211000003, "CHARLIE", 33)
         counters = StreamCounters()
-        reports = [r for _, r in decode_lines(enumerate(a[:1] + b + c), counters)]
+        reports = [r for _, r in decode_lines(a[:1] + b + c, counters)]
         assert [(r.mmsi, r.name, r.draught) for r in reports] == [
             (211000002, "BRAVO", 2.2), (211000003, "CHARLIE", 3.3)]
         assert counters.malformed == 1
@@ -215,7 +219,7 @@ class TestFragmentAssembly:
 
 class TestScaleOptions:
     def test_sentinels_map_to_missing(self):
-        reports = [r for _, r in decode_lines(enumerate(corpus_lines()))]
+        reports = [r for _, r in decode_lines(corpus_lines())]
         dyn = [r for r in reports if isinstance(r, DynamicAisReport)]
         assert any(r.lon is None for r in dyn)
         assert any(r.sog is None for r in dyn)
@@ -241,7 +245,7 @@ def decode_bits(bits):
     payload, fill = enc.armor_bits(bits)
     counters = StreamCounters()
     line = enc.sentence(1, 1, None, "A", payload, fill)
-    return [r for _, r in decode_lines([(0, line)], counters)], counters
+    return [r for _, r in decode_lines([line], counters)], counters
 
 
 class TestArmourAlphabet:
@@ -255,15 +259,40 @@ class TestArmourAlphabet:
         for text, decoded in ((self.PAYLOAD, 1), (bad, 0)):
             counters = StreamCounters()
             line = enc.sentence(1, 1, None, "A", text, self.FILL)
-            assert len(list(decode_lines([(0, line)], counters))) == decoded
+            assert len(list(decode_lines([line], counters))) == decoded
             assert counters.malformed == 1 - decoded
 
     def test_non_ascii_sentence_is_malformed(self):
         lines = [enc.sentence(1, 1, None, channel, self.PAYLOAD, self.FILL)
                  for channel in ("\u00e9", "\udcff")]
         counters = StreamCounters()
-        assert list(decode_lines(enumerate(lines), counters)) == []
+        assert list(decode_lines(lines, counters)) == []
         assert counters.malformed == 2
+
+
+class TestSidecarTime:
+    LINE = enc.sentence(1, 1, None, "A", TestArmourAlphabet.PAYLOAD,
+                        TestArmourAlphabet.FILL)
+
+    def test_time_is_framing(self):
+        counters = StreamCounters()
+        out = list(decode_lines([self.LINE, f"12.5,{self.LINE}", f" 3 ,{self.LINE}\n"],
+                                counters))
+        assert [t for t, _ in out] == [None, 12.5, 3.0]
+        assert out[0][1] == out[1][1] == out[2][1]
+        assert counters.lines == counters.decoded == 3
+
+    def test_reports_stream_as_lines_arrive(self):
+        pulled = []
+
+        def feed():
+            for t in range(3):
+                pulled.append(t)
+                yield f"{t},{self.LINE}\n"
+
+        t, report = next(decode_lines(feed()))
+        assert (t, report.mmsi) == (0.0, 366999784)
+        assert pulled == [0]
 
 
 def unsigned(width, *edges):
@@ -375,7 +404,7 @@ class TestFuzzing:
                                    for _ in range(rng.randrange(0, 40))
                                    ).decode("latin-1"))
         counters = StreamCounters()
-        for _ in decode_lines(enumerate(lines), counters):
+        for _ in decode_lines(lines, counters):
             pass
         assert counters.lines <= 100_000
         assert counters.malformed > 0

@@ -10,8 +10,8 @@ import pytest
 
 import make_ais_corpus as enc
 from geotrack.ais import DynamicAisReport, StaticAisReport, StreamCounters, decode_lines
-from geotrack.cli import (_DECODE_CSV_COLUMNS, EXIT_INPUT, EXIT_OK, EXIT_USAGE, _csv_row,
-                          _report_to_dict, _timed_reports, main, sphere_error_rows)
+from geotrack.cli import (_DECODE_CSV_COLUMNS, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK,
+                          EXIT_USAGE, _csv_row, _timed_reports, main, sphere_error_rows)
 from geotrack.tracker import TrackTable
 from conftest import DATA_DIR
 
@@ -67,13 +67,52 @@ class TestDecode:
         assert rows[0]["type_code"] == "70"
         assert rows[0]["draught_m"] == "9.8"
 
-    def test_csv_row_holds_the_jsonl_fields_in_column_order(self):
+    def test_csv_row_holds_the_jsonl_fields_in_column_order(self, tmp_path, capsys):
+        out = tmp_path / "decoded.jsonl"
+        code, _, _ = run_cli(["decode", "-i", CORPUS, "-o", str(out),
+                              "--format", "jsonl"], capsys)
+        assert code == EXIT_OK
         with open(CORPUS) as fh:
-            reports = [r for _, r in decode_lines(enumerate(fh))]
+            reports = [r for _, r in decode_lines(fh)]
         assert {type(r) for r in reports} == {DynamicAisReport, StaticAisReport}
-        for report in reports:
-            fields = _report_to_dict(report)
-            assert _csv_row(report) == tuple(fields.get(c) for c in _DECODE_CSV_COLUMNS)
+        records = [json.loads(line) for line in open(out)]
+        assert len(records) == len(reports)
+        # a record holds its kind's columns, in CSV column order
+        kind_columns = {"dynamic": _DECODE_CSV_COLUMNS[:9],
+                        "static": _DECODE_CSV_COLUMNS[:3] + _DECODE_CSV_COLUMNS[9:]}
+        for report, record in zip(reports, records):
+            assert list(record) == kind_columns[record["kind"]]
+            assert _csv_row(report) == tuple(record.get(c) for c in _DECODE_CSV_COLUMNS)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_sidecar_times_decode_like_plain_lines(self, fmt, tmp_path, capsys):
+        with open(CORPUS) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        outputs = []
+        for name, text in (("plain", "".join(f"{ln}\n" for ln in lines)),
+                           ("timed", "".join(f"{i * 2.0},{ln}\n"
+                                             for i, ln in enumerate(lines)))):
+            feed, out = tmp_path / f"{name}.nmea", tmp_path / f"{name}.{fmt}"
+            feed.write_text(text)
+            code, _, err = run_cli(["decode", "-i", str(feed), "-o", str(out),
+                                    "--format", fmt], capsys)
+            assert code == EXIT_OK
+            outputs.append((out.read_bytes(), err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] == "lines=534 decoded=525 malformed=3 unsupported=1\n"
+
+    def test_sidecar_only_line_is_one_malformed_line(self, tmp_path, capsys):
+        report = TestTrack.timed_report(0.0, 366999784, 42.0)
+        feed = tmp_path / "feed.nmea"
+        feed.write_text(report + "5.0,\n" + TestTrack.timed_report(3.0, 366999784, 42.0))
+        summaries = []
+        for command in ("decode", "track"):
+            code, _, err = run_cli([command, "-i", str(feed),
+                                    "-o", str(tmp_path / f"{command}.out")], capsys)
+            assert code == EXIT_OK
+            summaries.append(err.split()[:4])
+        assert summaries == [["lines=3", "decoded=2", "malformed=1", "unsupported=0"],
+                             ["lines=3", "decoded=2", "malformed=1", "tracks=1"]]
 
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(["decode", "-i", "/nonexistent/file.nmea"], capsys)
@@ -280,8 +319,12 @@ class TestSimulate:
         "start_lon = -71.0\nstart_lat = 42.3\nseed = -3\n[segments]\nstraight 60 7\n",
         "start_lon = -71.0\nstart_lat = 42.3\nseed = 2.7\n[segments]\nstraight 60 7\n",
         "start_lon = -71.0\nstart_lat = 42.3\n[segments]\nstraight 0.5 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\nais_interval = 2.5\n[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\ntruth_rate_hz = 2\nais_interval = 1.25\n"
+        "[segments]\nstraight 60 7\n",
     ], ids=["garbage", "empty", "no-start-lat", "unknown-kind", "lat-95",
-            "negative-seed", "fractional-seed", "shorter-than-one-step"])
+            "negative-seed", "fractional-seed", "shorter-than-one-step",
+            "interval-off-the-truth-grid", "interval-off-the-2hz-grid"])
     def test_bad_scenario_file_is_input_error(self, text, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
         scn.write_text(text)
@@ -290,6 +333,20 @@ class TestSimulate:
         assert code == EXIT_INPUT
         assert len(err.splitlines()) == 1
         assert err.startswith("input error: ")
+
+    # speeds that drive the EKF off its plane: at 1e100 m/s its position
+    # projects back to a NaN latitude (DomainError); at 1e50 m/s its
+    # innovation covariance stops being invertible (SingularInnovation)
+    @pytest.mark.parametrize("segment", ["straight 60 1e100", "straight 20 1e50"])
+    def test_filter_leaving_the_earth_is_numerical_failure(self, segment, tmp_path,
+                                                           capsys):
+        scn = tmp_path / "fast.scn"
+        scn.write_text(f"start_lon = -71.0\nstart_lat = 42.3\n[segments]\n{segment}\n")
+        code, _, err = run_cli(["simulate", "--scenario", str(scn),
+                                "-o", str(tmp_path / "run.csv")], capsys)
+        assert code == EXIT_NUMERIC
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("numerical failure: ")
 
 
 class TestStudy:

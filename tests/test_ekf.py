@@ -30,7 +30,7 @@ def meters_between(p1: GeoPoint, p2: GeoPoint) -> float:
     d, _ = great_circle_inverse(p1, p2)
     return d
 
-PLANE = TangentPlane()
+PLANE = TangentPlane(GeoPoint(-71.0237, 42.3469))  # Boston Harbor
 
 
 class TestEcef:
@@ -178,14 +178,15 @@ class TestMeasurementMapping:
 
 class TestPlanarEkfDefaults:
     def test_default_tuning(self):
-        f = PlanarEkf(PlanarState(0, 0, 0, 0))
+        f = PlanarEkf(PlanarState(0, 0, 0, 0), PLANE)
         assert np.allclose(f.p, 0.1 * np.eye(4))
         assert np.allclose(np.diag(DEFAULT_Q), [0.01, 0.01, 0.1, 0.1])
         assert np.allclose(np.diag(DEFAULT_R), [1e-3, 1e-3, 1e-3, 1e-2])
 
     def test_from_first_measurement_recovers_position(self):
         p = vincenty_direct(PLANE.origin, 200.0, 2500.0).destination
-        f = PlanarEkf.from_first_measurement(Measurement.full(p.lon, p.lat, 6.0, 200.0))
+        f = PlanarEkf.from_first_measurement(Measurement.full(p.lon, p.lat, 6.0, 200.0),
+                                             PLANE)
         est = f.geodetic_position()
         assert meters_between(est, p) < 0.01
         assert f.cog_deg == pytest.approx(200.0, rel=1e-9)
@@ -193,7 +194,7 @@ class TestPlanarEkfDefaults:
     def test_tracking_straight_run(self):
         # drive the filter with noiseless planar-consistent measurements
         truth = PlanarState(0.0, 0.0, 7.0, math.radians(45.0))
-        f = PlanarEkf(PlanarState(0.0, 0.0, 7.0, math.radians(45.0)))
+        f = PlanarEkf(PlanarState(0.0, 0.0, 7.0, math.radians(45.0)), PLANE)
         for k in range(1, 30):
             f.predict(1.0)
             n = 7.0 * k * math.cos(truth.course)

@@ -13,11 +13,9 @@ from geotrack.geodesy import (
     MEAN_EARTH_RADIUS_M,
     great_circle_final_bearing,
     great_circle_inverse,
-    great_circle_separation_error,
     normalize_lon,
     propagate_sphere,
     propagate_sphere_arrays,
-    sample_uniform_sphere,
     sample_uniform_sphere_arrays,
     tangent_plane_separation_error,
     vincenty_direct,
@@ -155,10 +153,6 @@ class TestVincenty:
         d21, _ = vincenty_inverse(p2, p1)
         assert d12 == pytest.approx(d21, rel=1e-9)
 
-    def test_direct_reports_iterations(self):
-        sol = vincenty_direct(GeoPoint(0.0, 0.0), 45.0, 1e6)
-        assert sol.iterations >= 1
-
 
 class TestUniformSampler:
     def test_mean_sin_lat_near_zero(self):
@@ -170,9 +164,9 @@ class TestUniformSampler:
         assert np.mean(np.abs(lat) < 30.0) == pytest.approx(0.5, abs=0.01)
 
     def test_deterministic(self):
-        a = sample_uniform_sphere(3, 42)
-        b = sample_uniform_sphere(3, 42)
-        assert a == b
+        a = sample_uniform_sphere_arrays(3, 42)
+        b = sample_uniform_sphere_arrays(3, 42)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSphericalErrorStatistics:
@@ -226,24 +220,6 @@ class TestTangentPlaneError:
             eps = [tangent_plane_separation_error(l1, l2, float(g))[2]
                    for g in gammas]
             assert all(b >= a - 1e-9 for a, b in zip(eps, eps[1:]))
-
-
-class TestGreatCircleSeparationError:
-    def test_equal_arcs(self):
-        assert great_circle_separation_error(3e4, 3e4) == pytest.approx(0.0, abs=1e-9)
-
-    def test_from_origin_reduces_to_projection_error(self):
-        s = 1e5
-        expected = s - R * math.sin(s / R)
-        assert great_circle_separation_error(0.0, s) == pytest.approx(
-            expected, rel=1e-9)
-
-    def test_below_tangent_plane_error(self):
-        gc = great_circle_separation_error(1e4, 2e4)
-        l1 = R * math.sin(1e4 / R)
-        l2 = R * math.sin(2e4 / R)
-        _, _, tp = tangent_plane_separation_error(l1, l2, math.pi)
-        assert 0.0 < gc < tp
 
 
 class TestBearingsAndInverse:

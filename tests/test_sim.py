@@ -108,6 +108,18 @@ class TestAisSampling:
         assert res[:, 0].std() == pytest.approx(1.90e-5, rel=0.15)
         assert res[:, 1].std() == pytest.approx(1.45e-5, rel=0.15)
 
+    @pytest.mark.parametrize("interval, rate_hz", [(1.5, 2.0), (4.0, 0.5), (0.1 * 3, 10.0)])
+    def test_interval_on_the_truth_grid(self, interval, rate_hz):
+        sc = straight_scenario(duration=60.0, ais_interval=interval, truth_rate_hz=rate_hz)
+        times = [t for t, _ in sample_ais(generate_truth(sc), sc)]
+        assert np.allclose(np.diff(times), interval)
+
+    @pytest.mark.parametrize("interval, rate_hz", [(1.4, 1.0), (2.5, 1.0), (1.25, 2.0),
+                                                   (math.inf, 1.0)])
+    def test_interval_off_the_truth_grid_is_refused(self, interval, rate_hz):
+        with pytest.raises(ValueError, match="whole number of truth steps"):
+            straight_scenario(ais_interval=interval, truth_rate_hz=rate_hz)
+
 
 class TestComparisonRuns:
     def test_zero_noise_run_stays_tight(self):

@@ -183,7 +183,9 @@ def cmd_simulate(args) -> int:
         scenario = sim.boston_departure_scenario()
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    run = sim.run_comparison(scenario)
+    # a filter that overflows fails at once, as FloatingPointError (exit 3)
+    with np.errstate(over="raise", invalid="raise"):
+        run = sim.run_comparison(scenario)
 
     truth, ukf, ekf = run.truth, run.ukf, run.ekf
     rows = np.column_stack([truth.t, truth.lon, truth.lat, truth.sog, truth.cog,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import masked_joseph_update, symmetrize
-from .geodesy import WGS84_E2 as _E2, WGS84_SEMI_MAJOR_M, GeoPoint
+from .geodesy import WGS84_E2 as _E2, WGS84_SEMI_MAJOR_M, DomainError, GeoPoint
 from .ukf import Measurement
 
 # Default EKF tuning (planar/SI units).
@@ -22,31 +22,18 @@ DEFAULT_Q = np.diag([0.01, 0.01, 0.1, 0.1])
 DEFAULT_R = np.diag([1e-3, 1e-3, 1e-3, 1e-2])
 DEFAULT_Q.flags.writeable = DEFAULT_R.flags.writeable = False  # shared by every filter
 
+# The ellipsoid surface is {v : v^T diag(_ELLIPSOID_W) v = 1}.
+_ELLIPSOID_W = np.array([1.0, 1.0, 1.0 / (1.0 - _E2)]) / WGS84_SEMI_MAJOR_M ** 2
 
-def geodetic_to_ecef(p: GeoPoint, height: float = 0.0) -> np.ndarray:
+
+def geodetic_to_ecef(p: GeoPoint) -> np.ndarray:
+    """ECEF position (m) of a point on the WGS84 surface."""
     lat, lon = math.radians(p.lat), math.radians(p.lon)
     n = WGS84_SEMI_MAJOR_M / math.sqrt(1.0 - _E2 * math.sin(lat) ** 2)
-    x = (n + height) * math.cos(lat) * math.cos(lon)
-    y = (n + height) * math.cos(lat) * math.sin(lon)
-    z = (n * (1.0 - _E2) + height) * math.sin(lat)
+    x = n * math.cos(lat) * math.cos(lon)
+    y = n * math.cos(lat) * math.sin(lon)
+    z = n * (1.0 - _E2) * math.sin(lat)
     return np.array([x, y, z])
-
-
-def ecef_to_geodetic(ecef: np.ndarray) -> GeoPoint:
-    """Iterative ECEF -> geodetic conversion (surface latitude/longitude)."""
-    x, y, z = ecef
-    lon = math.atan2(y, x)
-    p = math.hypot(x, y)
-    lat = math.atan2(z, p * (1.0 - _E2))
-    for _ in range(20):
-        n = WGS84_SEMI_MAJOR_M / math.sqrt(1.0 - _E2 * math.sin(lat) ** 2)
-        h = p / math.cos(lat) - n if abs(lat) < math.pi / 4 else z / math.sin(lat) - n * (1.0 - _E2)
-        lat_new = math.atan2(z, p * (1.0 - _E2 * n / (n + h)))
-        if abs(lat_new - lat) < 1e-14:
-            lat = lat_new
-            break
-        lat = lat_new
-    return GeoPoint(math.degrees(lon), math.degrees(lat))
 
 
 @dataclass(frozen=True)
@@ -75,33 +62,24 @@ def geodetic_to_ned(p: GeoPoint, plane: TangentPlane) -> tuple[float, float]:
 
 
 def ned_to_geodetic(north: float, east: float, plane: TangentPlane) -> GeoPoint:
-    """Surface point whose NED projection is (north, east); inverse of
-    :func:`geodetic_to_ned` to < 1e-9 deg."""
-    down = 0.0
-    point = plane.origin
-    for _ in range(20):
-        ecef = plane._ecef0 + plane._rot.T @ np.array([north, east, down])
-        point = ecef_to_geodetic(ecef)
-        ned = plane._rot @ (geodetic_to_ecef(point) - plane._ecef0)
-        if abs(ned[2] - down) < 1e-9:
-            break
-        down = float(ned[2])
-    return point
+    """Surface point whose NED projection is (north, east); the inverse of
+    :func:`geodetic_to_ned`.
 
-
-@dataclass
-class PlanarState:
-    north: float
-    east: float
-    sog: float
-    course: float  # radians
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.north, self.east, self.sog, self.course])
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "PlanarState":
-        return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
+    The plane point c moves along the plane's down axis u onto the ellipsoid:
+    the nearer root d of (u'Wu) d^2 + 2 (c'Wu) d + (c'Wc - 1) = 0. A point
+    past the Earth's limb has no surface point below it and raises
+    :class:`DomainError`.
+    """
+    c = plane._ecef0 + north * plane._rot[0] + east * plane._rot[1]
+    u = plane._rot[2]
+    wu = _ELLIPSOID_W * u
+    a, b, k = float(u @ wu), float(c @ wu), float(c @ (_ELLIPSOID_W * c)) - 1.0
+    disc = b * b - a * k
+    if not 0.0 <= disc < math.inf:
+        raise DomainError(f"plane point ({north:g}, {east:g}) m is beyond the Earth's limb")
+    x, y, z = c + k / (math.sqrt(disc) - b) * u
+    lat = math.atan2(z, (1.0 - _E2) * math.hypot(x, y))  # exact at h = 0
+    return GeoPoint(math.degrees(math.atan2(y, x)), math.degrees(lat))
 
 
 def planar_dynamics(x: np.ndarray) -> np.ndarray:
@@ -116,27 +94,6 @@ def planar_jacobian(x: np.ndarray) -> np.ndarray:
         [0.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0],
     ])
-
-
-def ekf_predict(state: PlanarState, p: np.ndarray, dt: float,
-                q: np.ndarray) -> tuple[PlanarState, np.ndarray]:
-    """Euler-discretized propagation with covariance Phi P Phi^T + Q dt."""
-    x = state.as_vector()
-    x_new = x + planar_dynamics(x) * dt
-    phi = np.eye(4) + planar_jacobian(x) * dt
-    p_new = symmetrize(phi @ p @ phi.T + np.asarray(q, dtype=float) * dt)
-    return PlanarState.from_vector(x_new), p_new
-
-
-def ekf_update(state: PlanarState, p: np.ndarray, meas: Measurement,
-               r: np.ndarray) -> tuple[PlanarState, np.ndarray]:
-    """Masked Joseph-form update; measurement already in the planar frame
-    (north m, east m, SOG m/s, course rad)."""
-    x = state.as_vector()
-    y = meas.z - x
-    y[3] = (y[3] + math.pi) % (2.0 * math.pi) - math.pi
-    dx, p_post = masked_joseph_update(p, y, meas.mask, r)
-    return PlanarState.from_vector(x + dx), p_post
 
 
 def measurement_to_planar(meas: Measurement, plane: TangentPlane) -> Measurement:
@@ -155,32 +112,38 @@ def measurement_to_planar(meas: Measurement, plane: TangentPlane) -> Measurement
 
 
 class PlanarEkf:
-    """Stateful EKF baseline mirroring the geodetic filter's interface."""
+    """Stateful EKF baseline mirroring the geodetic filter's interface; its
+    state ``x`` is (north m, east m, SOG m/s, course rad) on ``plane``."""
 
-    def __init__(self, state: PlanarState, plane: TangentPlane):
-        self.state = state
+    def __init__(self, x: np.ndarray, plane: TangentPlane):
+        self.x = np.array(x, dtype=float)
         self.p = DEFAULT_P0.copy()
         self.plane = plane
 
     @classmethod
     def from_first_measurement(cls, meas: Measurement,
                                plane: TangentPlane) -> "PlanarEkf":
-        pm = measurement_to_planar(meas, plane)
-        state = PlanarState(pm.z[0], pm.z[1], pm.z[2], pm.z[3])
-        return cls(state, plane)
+        return cls(measurement_to_planar(meas, plane).z, plane)
 
-    def predict(self, dt: float) -> PlanarState:
-        self.state, self.p = ekf_predict(self.state, self.p, dt, DEFAULT_Q)
-        return self.state
+    def predict(self, dt: float) -> np.ndarray:
+        """Euler-discretized propagation with covariance Phi P Phi^T + Q dt."""
+        phi = np.eye(4) + planar_jacobian(self.x) * dt
+        self.x = self.x + planar_dynamics(self.x) * dt
+        self.p = symmetrize(phi @ self.p @ phi.T + DEFAULT_Q * dt)
+        return self.x
 
-    def update(self, meas: Measurement) -> PlanarState:
+    def update(self, meas: Measurement) -> np.ndarray:
+        """Masked Joseph-form update with the measurement mapped onto the plane."""
         pm = measurement_to_planar(meas, self.plane)
-        self.state, self.p = ekf_update(self.state, self.p, pm, DEFAULT_R)
-        return self.state
+        y = pm.z - self.x
+        y[3] = (y[3] + math.pi) % (2.0 * math.pi) - math.pi
+        dx, self.p = masked_joseph_update(self.p, y, pm.mask, DEFAULT_R)
+        self.x = self.x + dx
+        return self.x
 
     def geodetic_position(self) -> GeoPoint:
-        return ned_to_geodetic(self.state.north, self.state.east, self.plane)
+        return ned_to_geodetic(self.x[0], self.x[1], self.plane)
 
     @property
     def cog_deg(self) -> float:
-        return math.degrees(self.state.course) % 360.0
+        return math.degrees(self.x[3]) % 360.0

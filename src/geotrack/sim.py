@@ -91,10 +91,9 @@ class TruthTrajectory:
         return np.array([self.lon[i], self.lat[i], self.sog[i], self.cog[i]])
 
 
-def generate_truth(scenario: Scenario, rng: np.random.Generator | None = None
-                   ) -> TruthTrajectory:
+def generate_truth(scenario: Scenario) -> TruthTrajectory:
     """Truth states at t = 0, dt, ..., duration - dt (dt = 1/truth_rate_hz)."""
-    rng = np.random.default_rng(scenario.seed) if rng is None else rng
+    rng = np.random.default_rng(scenario.seed)
     dt = 1.0 / scenario.truth_rate_hz
     n = scenario.n_steps
 
@@ -148,11 +147,10 @@ def generate_truth(scenario: Scenario, rng: np.random.Generator | None = None
     return TruthTrajectory(t, lon, lat, sog, cog)
 
 
-def sample_ais(truth: TruthTrajectory, scenario: Scenario,
-               rng: np.random.Generator | None = None
+def sample_ais(truth: TruthTrajectory, scenario: Scenario
                ) -> list[tuple[float, Measurement]]:
     """Noisy AIS reports at every ais_interval multiple of the truth timeline."""
-    rng = np.random.default_rng(scenario.seed + 1) if rng is None else rng
+    rng = np.random.default_rng(scenario.seed + 1)
     dt = 1.0 / scenario.truth_rate_hz
     stride = int(round(scenario.ais_interval / dt))
     stds = np.asarray(scenario.meas_noise, dtype=float)
@@ -212,12 +210,6 @@ def _metrics(truth: TruthTrajectory, record: FilterRunRecord) -> RunMetrics:
     )
 
 
-def _position_sigma3_m(p00: float, p11: float, lat_deg: float) -> float:
-    m_lon = METERS_PER_DEGREE * math.cos(math.radians(lat_deg))
-    m_lat = METERS_PER_DEGREE
-    return 3.0 * math.sqrt(max(0.0, p00) * m_lon ** 2 + max(0.0, p11) * m_lat ** 2)
-
-
 @dataclass
 class ComparisonRun:
     scenario: Scenario
@@ -259,11 +251,12 @@ def run_comparison(scenario: Scenario) -> ComparisonRun:
                 ekf.update(meas)
         ukf_est[i], ukf_cov[i] = ukf.belief.mean.as_vector(), ukf.belief.cov
         pos = ekf.geodetic_position()
-        ekf_est[i] = pos.lon, pos.lat, ekf.state.sog, ekf.cog_deg
+        ekf_est[i] = pos.lon, pos.lat, ekf.x[2], ekf.cog_deg
         ekf_cov[i] = ekf.p
 
-    ukf_sigma3 = np.array([_position_sigma3_m(c[0, 0], c[1, 1], lat)
-                           for c, lat in zip(ukf_cov, ukf_est[:, 1])])
+    m_lon = METERS_PER_DEGREE * np.cos(np.radians(ukf_est[:, 1]))
+    ukf_sigma3 = 3.0 * np.sqrt(np.maximum(0.0, ukf_cov[:, 0, 0]) * m_lon ** 2
+                               + np.maximum(0.0, ukf_cov[:, 1, 1]) * METERS_PER_DEGREE ** 2)
     # the EKF's position covariance is already in metres on its plane
     ekf_sigma3 = 3.0 * np.sqrt(np.maximum(0.0, ekf_cov[:, 0, 0])
                                + np.maximum(0.0, ekf_cov[:, 1, 1]))
@@ -277,7 +270,7 @@ def run_comparison(scenario: Scenario) -> ComparisonRun:
 # Canonical scenarios
 # ---------------------------------------------------------------------------
 
-def boston_departure_scenario(seed: int = 0, ais_interval: float = 6.0) -> Scenario:
+def boston_departure_scenario(seed: int = 0) -> Scenario:
     """Eastbound harbor departure at 7 m/s with several constant-turn arcs."""
     speed = 7.0
     segments = (
@@ -290,16 +283,15 @@ def boston_departure_scenario(seed: int = 0, ais_interval: float = 6.0) -> Scena
         TrajectorySegment(STRAIGHT, 120.0, speed),
     )
     return Scenario(start=GeoPoint(-71.0237, 42.3469), initial_cog=90.0,
-                    segments=segments, ais_interval=ais_interval, seed=seed,
-                    name="boston-departure")
+                    segments=segments, seed=seed, name="boston-departure")
 
 
-def lawnmower_scenario(ais_interval: float, n_legs: int = 10, seed: int = 0,
-                       straight_len: float = 855.0, turn_radius: float = 50.0,
-                       speed: float = 15.0) -> Scenario:
-    """Survey pattern: parallel straights joined by 180-degree turns."""
-    straight_time = straight_len / speed
-    turn_time = math.pi * turn_radius / speed
+def lawnmower_scenario(ais_interval: float, n_legs: int = 10, seed: int = 0) -> Scenario:
+    """Survey pattern at 15 m/s: 855 m straights joined by 180-degree turns
+    of 50 m radius."""
+    speed = 15.0
+    straight_time = 855.0 / speed
+    turn_time = math.pi * 50.0 / speed
     turn_rate = 180.0 / turn_time
     segments = []
     for leg in range(n_legs):
@@ -312,12 +304,12 @@ def lawnmower_scenario(ais_interval: float, n_legs: int = 10, seed: int = 0,
                     seed=seed, name=f"lawnmower-{int(ais_interval)}s")
 
 
-def stability_sweep(intervals=range(2, 69), n_legs: int = 10, seed: int = 0
+def stability_sweep(intervals=range(2, 69), n_legs: int = 10
                     ) -> list[tuple[float, ComparisonRun]]:
-    """Lawnmower runs over a range of AIS update intervals (shared seed)."""
+    """Lawnmower runs over a range of AIS update intervals (seed 0 for all)."""
     out = []
     for interval in intervals:
-        run = run_comparison(lawnmower_scenario(float(interval), n_legs, seed))
+        run = run_comparison(lawnmower_scenario(float(interval), n_legs))
         out.append((float(interval), run))
     return out
 

@@ -334,10 +334,12 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert err.startswith("input error: ")
 
-    # speeds that drive the EKF off its plane: at 1e100 m/s its position
-    # projects back to a NaN latitude (DomainError); at 1e50 m/s its
-    # innovation covariance stops being invertible (SingularInnovation)
-    @pytest.mark.parametrize("segment", ["straight 60 1e100", "straight 20 1e50"])
+    # speeds that carry the EKF's plane position past the Earth's limb in
+    # one step, where no surface point lies below it (DomainError); at
+    # 1e200 m/s its covariance overflows first (FloatingPointError). numpy
+    # warns of nothing before the one stderr line
+    @pytest.mark.parametrize("segment", ["straight 60 1e100", "straight 20 1e50",
+                                         "straight 10 1e100", "straight 10 1e200"])
     def test_filter_leaving_the_earth_is_numerical_failure(self, segment, tmp_path,
                                                            capsys):
         scn = tmp_path / "fast.scn"
@@ -345,8 +347,8 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--scenario", str(scn),
                                 "-o", str(tmp_path / "run.csv")], capsys)
         assert code == EXIT_NUMERIC
-        assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("numerical failure: ")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: ")
 
 
 class TestStudy:

@@ -8,11 +8,7 @@ from geotrack.ekf import (
     DEFAULT_Q,
     DEFAULT_R,
     PlanarEkf,
-    PlanarState,
     TangentPlane,
-    ecef_to_geodetic,
-    ekf_predict,
-    ekf_update,
     geodetic_to_ecef,
     geodetic_to_ned,
     measurement_to_planar,
@@ -20,7 +16,7 @@ from geotrack.ekf import (
     planar_dynamics,
     planar_jacobian,
 )
-from geotrack.geodesy import (GeoPoint, great_circle_inverse,
+from geotrack.geodesy import (DomainError, GeoPoint, great_circle_inverse,
                               tangent_plane_separation_error, vincenty_direct,
                               vincenty_inverse)
 from geotrack.ukf import Measurement
@@ -35,9 +31,9 @@ PLANE = TangentPlane(GeoPoint(-71.0237, 42.3469))  # Boston Harbor
 
 class TestEcef:
     def test_round_trip(self):
+        # a plane's own origin maps back through the closed-form surface latitude
         for lon, lat in [(-71.0, 42.3), (0.0, 0.0), (179.5, -65.0), (10.0, 88.0)]:
-            p = GeoPoint(lon, lat)
-            back = ecef_to_geodetic(geodetic_to_ecef(p))
+            back = ned_to_geodetic(0.0, 0.0, TangentPlane(GeoPoint(lon, lat)))
             assert back.lon == pytest.approx(lon, abs=1e-11)
             assert back.lat == pytest.approx(lat, abs=1e-11)
 
@@ -54,15 +50,23 @@ class TestTangentPlaneFrame:
         assert abs(n) < 1e-9 and abs(e) < 1e-9
 
     def test_round_trip_small_offsets(self):
+        # offsets up to 1 000 km, small beside the Earth's radius
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            bearing = rng.uniform(0, 360)
-            dist = rng.uniform(0, 1e5)
-            p = vincenty_direct(PLANE.origin, bearing, dist).destination
-            n, e = geodetic_to_ned(p, PLANE)
-            back = ned_to_geodetic(n, e, PLANE)
-            assert back.lon == pytest.approx(p.lon, abs=1e-9)
-            assert back.lat == pytest.approx(p.lat, abs=1e-9)
+        for lon, lat in [(-71.0237, 42.3469), (0.0, 0.0), (179.5, -65.0), (10.0, 88.0)]:
+            plane = TangentPlane(GeoPoint(lon, lat))
+            for _ in range(50):
+                bearing = rng.uniform(0, 360)
+                dist = rng.uniform(0, 1e6)
+                p = vincenty_direct(plane.origin, bearing, dist).destination
+                n, e = geodetic_to_ned(p, plane)
+                back = ned_to_geodetic(n, e, plane)
+                assert back.lon == pytest.approx(p.lon, abs=1e-9)
+                assert back.lat == pytest.approx(p.lat, abs=1e-9)
+
+    def test_beyond_the_limb_is_a_domain_error(self):
+        # 7 000 km north along the plane has no surface point below it
+        with pytest.raises(DomainError):
+            ned_to_geodetic(7e6, 0.0, PLANE)
 
     def test_north_axis_alignment(self):
         p = vincenty_direct(PLANE.origin, 0.0, 1000.0).destination
@@ -120,43 +124,48 @@ class TestPlanarDynamics:
         assert np.allclose(planar_dynamics(x), 0.0)
 
     def test_predict_moves_along_course(self):
-        state = PlanarState(0.0, 0.0, 10.0, math.pi / 2)  # due East
-        out, _ = ekf_predict(state, DEFAULT_P0, 5.0, DEFAULT_Q)
-        assert out.north == pytest.approx(0.0, abs=1e-9)
-        assert out.east == pytest.approx(50.0, rel=1e-12)
+        f = PlanarEkf([0.0, 0.0, 10.0, math.pi / 2], PLANE)  # due East
+        f.predict(5.0)
+        assert f.x[0] == pytest.approx(0.0, abs=1e-9)
+        assert f.x[1] == pytest.approx(50.0, rel=1e-12)
 
     def test_predict_grows_covariance(self):
-        _, p = ekf_predict(PlanarState(0, 0, 5, 0.3), DEFAULT_P0, 2.0, DEFAULT_Q)
-        assert np.trace(p) > np.trace(DEFAULT_P0)
-        assert np.allclose(p, p.T)
+        f = PlanarEkf([0.0, 0.0, 5.0, 0.3], PLANE)
+        f.predict(2.0)
+        assert np.trace(f.p) > np.trace(DEFAULT_P0)
+        assert np.allclose(f.p, f.p.T)
+
+
+def planar_fix(north: float, east: float, sog: float, course: float,
+               mask) -> Measurement:
+    """Geodetic measurement that maps to (north, east, sog, course rad) on
+    PLANE; position fields are set only where ``mask`` has them."""
+    g = ned_to_geodetic(north, east, PLANE) if mask[0] else GeoPoint(0.0, 0.0)
+    return Measurement(np.array([g.lon, g.lat, sog, math.degrees(course)]),
+                       np.array(mask, dtype=bool))
 
 
 class TestEkfUpdate:
     def test_exact_measurement_moves_toward_it(self):
-        state = PlanarState(0.0, 0.0, 5.0, 0.0)
-        z = Measurement(np.array([10.0, -4.0, 6.0, 0.2]),
-                        np.ones(4, dtype=bool))
-        out, p = ekf_update(state, DEFAULT_P0, z, DEFAULT_R)
-        assert 0.0 < out.north < 10.0
-        assert -4.0 < out.east < 0.0
-        assert np.all(np.diag(p) < np.diag(DEFAULT_P0))
+        f = PlanarEkf([0.0, 0.0, 5.0, 0.0], PLANE)
+        f.update(planar_fix(10.0, -4.0, 6.0, 0.2, [True] * 4))
+        assert 0.0 < f.x[0] < 10.0
+        assert -4.0 < f.x[1] < 0.0
+        assert np.all(np.diag(f.p) < np.diag(DEFAULT_P0))
 
     def test_course_seam(self):
-        state = PlanarState(0.0, 0.0, 5.0, 0.05)
-        z = Measurement(np.array([0.0, 0.0, 5.0, 2 * math.pi - 0.05]),
-                        np.array([False, False, False, True]))
-        out, _ = ekf_update(state, DEFAULT_P0, z, DEFAULT_R)
+        f = PlanarEkf([0.0, 0.0, 5.0, 0.05], PLANE)
+        f.update(planar_fix(0.0, 0.0, 5.0, 2 * math.pi - 0.05,
+                            [False, False, False, True]))
         # the residual wraps: the posterior course moves below zero, not up
-        assert out.course < 0.05
+        assert f.x[3] < 0.05
 
     def test_masked_states_untouched(self):
-        state = PlanarState(1.0, 2.0, 5.0, 0.3)
-        z = Measurement(np.array([10.0, 20.0, 0.0, 0.0]),
-                        np.array([True, True, False, False]))
-        p0 = np.diag([1.0, 1.0, 1.0, 1.0])
-        out, p = ekf_update(state, p0, z, DEFAULT_R)
-        assert out.sog == pytest.approx(5.0, abs=1e-12)
-        assert out.course == pytest.approx(0.3, abs=1e-12)
+        f = PlanarEkf([1.0, 2.0, 5.0, 0.3], PLANE)
+        f.p = np.diag([1.0, 1.0, 1.0, 1.0])
+        f.update(planar_fix(10.0, 20.0, 0.0, 0.0, [True, True, False, False]))
+        assert f.x[2] == pytest.approx(5.0, abs=1e-12)
+        assert f.x[3] == pytest.approx(0.3, abs=1e-12)
 
 
 class TestMeasurementMapping:
@@ -178,7 +187,7 @@ class TestMeasurementMapping:
 
 class TestPlanarEkfDefaults:
     def test_default_tuning(self):
-        f = PlanarEkf(PlanarState(0, 0, 0, 0), PLANE)
+        f = PlanarEkf(np.zeros(4), PLANE)
         assert np.allclose(f.p, 0.1 * np.eye(4))
         assert np.allclose(np.diag(DEFAULT_Q), [0.01, 0.01, 0.1, 0.1])
         assert np.allclose(np.diag(DEFAULT_R), [1e-3, 1e-3, 1e-3, 1e-2])
@@ -193,13 +202,13 @@ class TestPlanarEkfDefaults:
 
     def test_tracking_straight_run(self):
         # drive the filter with noiseless planar-consistent measurements
-        truth = PlanarState(0.0, 0.0, 7.0, math.radians(45.0))
-        f = PlanarEkf(PlanarState(0.0, 0.0, 7.0, math.radians(45.0)), PLANE)
+        course = math.radians(45.0)
+        f = PlanarEkf([0.0, 0.0, 7.0, course], PLANE)
         for k in range(1, 30):
             f.predict(1.0)
-            n = 7.0 * k * math.cos(truth.course)
-            e = 7.0 * k * math.sin(truth.course)
+            n = 7.0 * k * math.cos(course)
+            e = 7.0 * k * math.sin(course)
             g = ned_to_geodetic(n, e, PLANE)
             f.update(Measurement.full(g.lon, g.lat, 7.0, 45.0))
-        assert f.state.north == pytest.approx(7.0 * 29 * math.cos(truth.course), abs=0.1)
-        assert f.state.sog == pytest.approx(7.0, abs=0.01)
+        assert f.x[0] == pytest.approx(7.0 * 29 * math.cos(course), abs=0.1)
+        assert f.x[2] == pytest.approx(7.0, abs=0.01)

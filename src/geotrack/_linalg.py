@@ -31,20 +31,24 @@ class SingularInnovation(RuntimeError):
 
 def masked_joseph_update(p: np.ndarray, residual: np.ndarray, mask: np.ndarray,
                          r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joseph-form Kalman update for the direct measurement H = diag(mask).
+    """Joseph-form Kalman update for the direct measurement H = diag(mask), of
+    one belief or of each in a stack, with a mask per belief.
 
     ``residual`` is z - x with any angular wrapping already applied; masked-out
-    fields contribute none. Returns the state correction and the posterior
-    covariance.
+    fields contribute none. Returns the state corrections and the posterior
+    covariances.
     """
     r = np.asarray(r, dtype=float)
-    h = np.diag(mask.astype(float))
-    innov_cov = h @ p @ h.T + r
+    eye = np.eye(p.shape[-1])
+    h = mask[..., None] * eye
+    ht = h.swapaxes(-1, -2)
+    innov_cov = h @ p @ ht + r
     try:
         innov_inv = np.linalg.inv(innov_cov)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("innovation covariance is singular") from exc
     y = np.where(mask, residual, 0.0)
-    k = p @ h.T @ innov_inv
-    ikh = np.eye(len(p)) - k @ h
-    return k @ y, symmetrize(ikh @ p @ ikh.T + k @ r @ k.T)
+    k = p @ ht @ innov_inv
+    ikh = eye - k @ h
+    p_post = ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2)
+    return (k @ y[..., None])[..., 0], symmetrize(p_post)

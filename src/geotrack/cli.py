@@ -157,17 +157,21 @@ def cmd_track(args) -> int:
             last = math.floor(t * args.rate)  # the last tick at or before t
             k = last if k is None else k
             while k <= last:
-                if not table.tracks:  # nothing to predict: jump to the last tick
+                if not table.rows:  # nothing to predict: jump to the last tick
                     k = last
-                for mmsi, belief in table.tick(k / args.rate):
-                    m = belief.mean
-                    dst.write(f"{belief.timestamp},{mmsi},{m.lon!r},{m.lat!r},"
-                              f"{m.sog!r},{m.cog!r},{float(np.trace(belief.cov))!r}\n")
+                rows = table.tick(k / args.rate)
+                filt = rows.filt
+                p_trace = np.trace(filt.cov, axis1=-2, axis2=-1)
+                dst.writelines(f"{t_row!r},{mmsi},{lon!r},{lat!r},{sog!r},{cog!r},{p!r}\n"
+                               for t_row, mmsi, (lon, lat, sog, cog), p
+                               in zip(filt.time.tolist(), rows.mmsi.tolist(),
+                                      filt.mean.tolist(), p_trace.tolist()))
                 dst.flush()  # on a live feed, each tick's rows go out at once
                 k += 1
             table.ingest(report, t)
+    live = len(table.tracks)  # fuses the reports that came after the last tick
     print(f"lines={counters.lines} decoded={counters.decoded} "
-          f"malformed={counters.malformed} tracks={len(table.tracks)} "
+          f"malformed={counters.malformed} tracks={live} "
           f"stale_drops={table.stale_drops} skipped={table.skipped_reports} "
           f"retired={table.retired}", file=sys.stderr)
     return EXIT_OK

@@ -249,7 +249,7 @@ def run_comparison(scenario: Scenario) -> ComparisonRun:
             if meas is not None:
                 ukf.update(meas)
                 ekf.update(meas)
-        ukf_est[i], ukf_cov[i] = ukf.belief.mean.as_vector(), ukf.belief.cov
+        ukf_est[i], ukf_cov[i] = ukf.mean, ukf.cov
         pos = ekf.geodetic_position()
         ekf_est[i] = pos.lon, pos.lat, ekf.x[2], ekf.cog_deg
         ekf_cov[i] = ekf.p

@@ -1,34 +1,20 @@
-"""Per-MMSI track management: asynchronous report ingestion with fixed-rate
-prediction between reports, every due track stepped in one stacked call."""
+"""Per-MMSI track management over one stacked filter: reports are queued as
+they arrive and fused at the next tick or read, and every track step, to a
+report or to a tick, is one stacked call for all the tracks that take it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .ais import DynamicAisReport
-from .geodesy import DomainError
-from .noise import build_process_noise
-from .ukf import (FactorizationFailure, GaussianBelief, GeodeticState, GeodeticUkf,
-                  Measurement, SingularInnovation, predict_arrays)
+from .ukf import INITIAL_COV, GaussianBelief, GeodeticUkf, Measurement, normalize_state
 
 DEFAULT_STALE_TIMEOUT_S = 180.0  # longest Class A reporting interval (anchored)
 OUT_OF_ORDER_TOLERANCE_S = 1.0
-
-# errors of one track's filter step; the track is retired, the table goes on
-TRACK_FAILURES = (DomainError, FactorizationFailure, SingularInnovation)
-
-
-@dataclass
-class Track:
-    mmsi: int
-    filt: GeodeticUkf
-    last_seen: float    # time of the last accepted report
-
-    @property
-    def belief(self) -> GaussianBelief:
-        return self.filt.belief
+ON_TIME_S = 1e-9  # a belief this close to a target time has reached it
 
 
 def measurement_from_report(report: DynamicAisReport) -> Measurement:
@@ -49,11 +35,36 @@ def _healthy(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
             & (np.abs(mean[..., 1]) < 90.0))
 
 
-class TrackTable:
-    """Single-owner table of live filters keyed by MMSI.
+class TrackSnapshot(NamedTuple):
+    belief: GaussianBelief
+    last_seen: float    # time of the last accepted report
 
-    Callers serialize ``ingest``/``tick``; tracks are mutually independent, and
-    one whose filter step fails or goes non-finite is retired and counted.
+
+class TickRows(Sequence):
+    """One tick's tracks in MMSI order, held as arrays: ``mmsi`` and a
+    stacked ``filt``; item i is ``(mmsi, belief)``."""
+
+    def __init__(self, mmsi: np.ndarray, filt: GeodeticUkf):
+        self.mmsi, self.filt = mmsi, filt
+
+    def __len__(self) -> int:
+        return len(self.mmsi)
+
+    def __getitem__(self, i: int) -> tuple[int, GaussianBelief]:
+        filt = self.filt
+        return int(self.mmsi[i]), GaussianBelief.from_arrays(filt.mean[i], filt.cov[i],
+                                                             filt.time[i])
+
+
+class TrackTable:
+    """Single-owner table of live tracks keyed by MMSI, held as arrays.
+
+    Row i of the stacked filter ``filt`` and of ``mmsi``, ``last_seen``,
+    ``horizon`` and ``live`` is one track; ``rows`` maps an MMSI to its row,
+    and a freed row is reused. ``ingest`` queues a report, and the queue is
+    fused at the next ``tick`` or read of ``tracks``. Callers serialize
+    ``ingest``/``tick``; tracks are mutually independent, and one whose
+    belief goes non-finite or polar is retired and counted.
     """
 
     def __init__(self, filter_rate_hz: float = 1.0,
@@ -62,71 +73,147 @@ class TrackTable:
             raise ValueError("filter rate must be positive")
         self.filter_rate_hz = filter_rate_hz
         self.stale_timeout = stale_timeout
-        self.tracks: dict[int, Track] = {}
+        self.filt = GeodeticUkf(np.zeros((0, 4)), INITIAL_COV)
+        self.mmsi = np.zeros(0, dtype=np.int64)
+        self.last_seen = np.zeros(0)
+        self.horizon = np.zeros(0)  # belief time once the queued reports are fused
+        self.live = np.zeros(0, dtype=bool)
+        self.rows: dict[int, int] = {}
+        self._free: list[int] = []
+        self._queue: list[tuple[int, float, Measurement]] = []
         self.stale_drops = 0
         self.skipped_reports = 0
         self.retired = 0
 
-    def _retire(self, track: Track) -> None:
-        del self.tracks[track.mmsi]
-        self.retired += 1
+    @property
+    def tracks(self) -> dict[int, TrackSnapshot]:
+        """A snapshot of every live track by MMSI, taken after the queued
+        reports are fused."""
+        self._fuse()
+        filt = self.filt
+        return {mmsi: TrackSnapshot(
+                    GaussianBelief.from_arrays(filt.mean[row], filt.cov[row], filt.time[row]),
+                    float(self.last_seen[row]))
+                for mmsi, row in self.rows.items()}
 
-    def _predict_to(self, track: Track, t: float) -> None:
-        """Advance a track to time t in fixed-rate steps plus a final partial step."""
-        step = 1.0 / self.filter_rate_hz
-        while t - track.belief.timestamp > 1e-9:
-            track.filt.predict(min(step, t - track.belief.timestamp))
+    def _new_row(self) -> int:
+        if not self._free:  # double the capacity
+            n = len(self.live)
+            grow = max(n, 16)
+
+            def pad(a):
+                return np.concatenate([a, np.zeros((grow,) + a.shape[1:], a.dtype)])
+            filt = self.filt
+            filt.mean, filt.cov, filt.time = pad(filt.mean), pad(filt.cov), pad(filt.time)
+            self.mmsi, self.last_seen = pad(self.mmsi), pad(self.last_seen)
+            self.horizon, self.live = pad(self.horizon), pad(self.live)
+            self._free = list(range(n + grow - 1, n - 1, -1))
+        return self._free.pop()
+
+    def _drop(self, rows: list[int]) -> None:
+        for row in rows:
+            del self.rows[int(self.mmsi[row])]
+        self.live[rows] = False
+        self._free.extend(rows)
+
+    def _retire_unhealthy(self, rows: np.ndarray) -> np.ndarray:
+        """Retire the rows whose belief a filter step cannot take; returns
+        which of ``rows`` remain."""
+        ok = _healthy(self.filt.mean[rows], self.filt.cov[rows])
+        if not ok.all():
+            self._drop(rows[~ok].tolist())
+            self.retired += int((~ok).sum())
+        return ok
 
     def ingest(self, report: DynamicAisReport, t: float) -> str:
-        """Route one report; returns the applied event kind."""
+        """Route one report and queue it for fusion; returns its event kind."""
         meas = measurement_from_report(report)
-        track = self.tracks.get(report.mmsi)
-        if track is None:
+        row = self.rows.get(report.mmsi)
+        if row is None:
             if not (meas.mask[0] and meas.mask[1]):
                 # cannot seed a position estimate from a positionless report
                 self.skipped_reports += 1
                 return "skipped"
-            filt = GeodeticUkf.from_first_measurement(meas, timestamp=t)
-            self.tracks[report.mmsi] = Track(report.mmsi, filt, t)
-            return "created"
-        if t < track.belief.timestamp - OUT_OF_ORDER_TOLERANCE_S:
+            row = self.rows[report.mmsi] = self._new_row()
+            self.mmsi[row], self.live[row] = report.mmsi, True
+            # the prior that the queued report is fused into, as in
+            # GeodeticUkf.from_first_measurement
+            self.filt.mean[row] = normalize_state(meas.z.copy())
+            self.filt.cov[row] = INITIAL_COV
+            self.filt.time[row] = self.horizon[row] = t
+            kind = "created"
+        elif t < self.horizon[row] - OUT_OF_ORDER_TOLERANCE_S:
             self.stale_drops += 1
             return "dropped_stale"
-        try:
-            if t >= track.belief.timestamp:
-                self._predict_to(track, t)
-            belief = track.filt.update(meas)
-        except TRACK_FAILURES:
-            belief = None
-        if belief is None or not _healthy(belief.mean.as_vector(), belief.cov):
-            self._retire(track)
+        elif not self._retire_unhealthy(np.array([row]))[0]:
+            self._queue = [entry for entry in self._queue if entry[0] != row]
             return "retired"
-        track.last_seen = t
-        return "updated"
+        else:
+            self.horizon[row] = max(self.horizon[row], t)
+            kind = "updated"
+        self.last_seen[row] = t
+        self._queue.append((row, t, meas))
+        return kind
 
-    def _step(self, due: list[Track], dt: list[float]) -> None:
-        """One stacked filter step of ``dt[i]`` seconds for each track ``due[i]``."""
-        mean = np.array([tr.belief.mean.as_vector() for tr in due])
-        cov = np.array([tr.belief.cov for tr in due])
-        ok, step = _healthy(mean, cov), np.array(dt)
-        q = build_process_noise(mean[ok, 1], mean[ok, 3], step[ok])
-        mean[ok], cov[ok] = predict_arrays(mean[ok], cov[ok], step[ok], q)
-        ok &= _healthy(mean, cov)
-        for tr, m, c, d, good in zip(due, mean, cov, dt, ok):
-            if not good:
-                self._retire(tr)
+    def _advance(self, rows: np.ndarray, target: np.ndarray) -> None:
+        """Predict each of ``rows`` to its ``target`` time in stacked fixed-rate
+        steps plus a final partial step; a step that reaches its target sets
+        the row's time to the target itself. A row past its target stays."""
+        filt, step = self.filt, 1.0 / self.filter_rate_hz
+        ok = self._retire_unhealthy(rows)
+        while True:
+            rows, target = rows[ok], target[ok]
+            gap = target - filt.time[rows]
+            due = gap > ON_TIME_S
+            if not due.any():
+                return
+            rows, target = rows[due], target[due]
+            dt = np.zeros(filt.time.shape)
+            dt[rows] = np.minimum(step, gap[due])
+            filt.predict(dt)
+            landed = target - filt.time[rows] <= ON_TIME_S
+            filt.time[rows[landed]] = target[landed]
+            ok = self._retire_unhealthy(rows)
+
+    def _fuse(self) -> None:
+        """Fuse the queued reports in arrival order per track: for the k-th
+        queued report of every track at once, predict each track to its
+        report time, then take one stacked update."""
+        batches: list[list] = []
+        count: dict[int, int] = {}
+        for entry in self._queue:
+            k = count[entry[0]] = count.get(entry[0], -1) + 1
+            if k == len(batches):
+                batches.append([])
+            batches[k].append(entry)
+        self._queue = []
+        for batch in batches:
+            # a track retired by an earlier report takes no later one
+            batch = [entry for entry in batch if self.live[entry[0]]]
+            if not batch:
                 continue
-            tr.filt.belief = GaussianBelief(GeodeticState.from_vector(m), c,
-                                            tr.belief.timestamp + d)
+            rows = np.array([row for row, _, _ in batch])
+            self._advance(rows, np.array([t for _, t, _ in batch]))
+            z = np.zeros(self.filt.mean.shape)
+            mask = np.zeros(z.shape, dtype=bool)
+            z[rows] = [meas.z for _, _, meas in batch]
+            mask[rows] = [meas.mask for _, _, meas in batch]
+            mask[~self.live] = False  # retired on the way to its report
+            self.filt.update(Measurement(z, mask))
+            self._retire_unhealthy(rows[self.live[rows]])
 
-    def tick(self, t: float) -> list[tuple[int, GaussianBelief]]:
-        """Predict every live track to time t, dropping stale ones first; all
-        tracks short of t take their next fixed-rate step in one stacked call."""
-        for mmsi in [m for m, tr in self.tracks.items()
-                     if t - tr.last_seen > self.stale_timeout]:
-            del self.tracks[mmsi]
-        step = 1.0 / self.filter_rate_hz
-        while due := [tr for tr in self.tracks.values()
-                      if t - tr.belief.timestamp > 1e-9]:
-            self._step(due, [min(step, t - tr.belief.timestamp) for tr in due])
-        return [(mmsi, self.tracks[mmsi].belief) for mmsi in sorted(self.tracks)]
+    def tick(self, t: float) -> TickRows:
+        """Fuse the queued reports, drop stale tracks, and predict every live
+        track to time t; all tracks short of t take their next fixed-rate step
+        in one stacked call."""
+        self._fuse()
+        live = np.flatnonzero(self.live)
+        stale = t - self.last_seen[live] > self.stale_timeout
+        self._drop(live[stale].tolist())
+        self._advance(live[~stale], np.full(np.count_nonzero(~stale), float(t)))
+        np.maximum(self.horizon, self.filt.time, out=self.horizon)
+        rows = np.flatnonzero(self.live)
+        rows = rows[np.argsort(self.mmsi[rows])]
+        filt = self.filt
+        return TickRows(self.mmsi[rows],
+                        GeodeticUkf(filt.mean[rows], filt.cov[rows], filt.time[rows]))

@@ -3,8 +3,9 @@
 Prediction pushes symmetric sigma points through a constant-velocity step
 along great circles of the mean-radius sphere;
 the measurement model is linear, so the update is a conventional Kalman step in
-Joseph form with per-field masking for incomplete reports.  ``predict_arrays``
-steps a stack of beliefs at once; a single belief is the stack without its axis.
+Joseph form with per-field masking for incomplete reports.  ``GeodeticUkf``
+holds one belief or a stack of them as arrays; a single belief is the stack
+without its axis.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import masked_joseph_update, project_psd, symmetrize
-from ._linalg import SingularInnovation  # noqa: F401  (raised by update)
-from .geodesy import GeoPoint, normalize_lon, propagate_sphere_arrays, wrap_bearing
+from .geodesy import normalize_lon, propagate_sphere_arrays, wrap_bearing
 from .noise import build_process_noise, default_measurement_noise
 
 N_STATES = 4
@@ -55,20 +55,17 @@ class GeodeticState:
     def as_vector(self) -> np.ndarray:
         return np.array([self.lon, self.lat, self.sog, self.cog], dtype=float)
 
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "GeodeticState":
-        return cls(float(x[0]), float(x[1]), max(0.0, float(x[2])), float(x[3]))
-
-    @property
-    def position(self) -> GeoPoint:
-        return GeoPoint(self.lon, self.lat)
-
 
 @dataclass
 class GaussianBelief:
     mean: GeodeticState
     cov: np.ndarray
     timestamp: float = 0.0
+
+    @classmethod
+    def from_arrays(cls, mean: np.ndarray, cov: np.ndarray, time) -> "GaussianBelief":
+        """A copy of one belief held as arrays."""
+        return cls(GeodeticState(*mean.tolist()), np.array(cov), float(time))
 
 
 @dataclass
@@ -156,8 +153,7 @@ def _weighted_mean(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _residuals(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
     res = points - mean[..., None, :]
-    res[..., 0] = (res[..., 0] + 180.0) % 360.0 - 180.0
-    res[..., 3] = (res[..., 3] + 180.0) % 360.0 - 180.0
+    res[..., ::3] = (res[..., ::3] + 180.0) % 360.0 - 180.0  # lon and COG
     return res
 
 
@@ -173,37 +169,63 @@ def predict_arrays(mean: np.ndarray, cov: np.ndarray, dt, q: np.ndarray
     return mean, project_psd(cov)
 
 
-def predict(belief: GaussianBelief, dt: float, q: np.ndarray) -> GaussianBelief:
-    """A priori belief after propagating every sigma point through dt seconds."""
-    mean, cov = predict_arrays(belief.mean.as_vector(), belief.cov, dt,
-                               np.asarray(q, dtype=float))
-    return GaussianBelief(GeodeticState.from_vector(mean), cov, belief.timestamp + dt)
+def normalize_state(mean: np.ndarray) -> np.ndarray:
+    """Wrap longitude and course and clip SOG at zero, in place, as
+    ``GeodeticState`` does to one state vector."""
+    mean[..., 0] = normalize_lon(mean[..., 0])
+    mean[..., 2] = np.maximum(0.0, mean[..., 2])
+    mean[..., 3] = wrap_bearing(mean[..., 3])
+    return mean
+
+
+def update_arrays(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, mask: np.ndarray,
+                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joseph-form linear update of a stack of beliefs, each with its own
+    masked report; masked fields carry zero residual."""
+    y = z - mean
+    y[..., ::3] = wrap_residual(0.0, y[..., ::3])  # lon and COG
+    dx, p_post = masked_joseph_update(symmetrize(cov), y, mask, r)
+    x_post = mean + dx
+    x_post[..., 3] %= 360.0
+    return normalize_state(x_post), p_post
 
 
 def update(prior: GaussianBelief, meas: Measurement, r: np.ndarray) -> GaussianBelief:
     """Joseph-form linear update with masked fields carrying zero residual."""
-    x = prior.mean.as_vector()
-    y = meas.z - x
-    y[0] = wrap_residual(0.0, y[0])
-    y[3] = wrap_residual(0.0, y[3])
-    dx, p_post = masked_joseph_update(symmetrize(prior.cov), y, meas.mask, r)
-    x_post = x + dx
-    x_post[3] %= 360.0
-    return GaussianBelief(GeodeticState.from_vector(x_post), p_post, prior.timestamp)
+    mean, cov = update_arrays(prior.mean.as_vector(), prior.cov, meas.z, meas.mask, r)
+    return GaussianBelief.from_arrays(mean, cov, prior.timestamp)
 
 
 def initial_belief(meas: Measurement, timestamp: float = 0.0) -> GaussianBelief:
     """Prior of a new track: mean from the first report, wide proper covariance."""
-    x = meas.z.copy()
-    state = GeodeticState(float(x[0]), float(x[1]), max(0.0, float(x[2])), float(x[3]))
-    return GaussianBelief(state, INITIAL_COV.copy(), timestamp)
+    return GaussianBelief.from_arrays(normalize_state(meas.z.copy()), INITIAL_COV.copy(),
+                                      timestamp)
+
+
+def _rows(selected: np.ndarray):
+    """An index of the selected beliefs of a stack: None when there are none,
+    and ``...`` when all are, so that a single belief (no stack axis) needs
+    no boolean indexing."""
+    if selected.ndim == 0:  # a numpy bool, which counts slowly
+        return ... if selected else None
+    count = np.count_nonzero(selected)
+    return None if count == 0 else ... if count == selected.size else selected
 
 
 class GeodeticUkf:
-    """Stateful filter instance: one tracked vessel, sequential predict/update."""
+    """Filter over one belief, or over a stack of independent beliefs.
 
-    def __init__(self, belief: GaussianBelief):
-        self.belief = belief
+    ``mean`` is ``(..., 4)``, ``cov`` ``(..., 4, 4)`` and ``time`` ``(...)``;
+    a single belief is the stack without its axis. ``predict`` and ``update``
+    step every belief at once, and a belief with a zero ``dt`` or an
+    all-false report mask is left untouched, bit for bit.
+    """
+
+    def __init__(self, mean, cov, time=0.0):
+        self.mean = np.array(mean, dtype=float)
+        stack = self.mean.shape[:-1]
+        self.cov = np.array(np.broadcast_to(cov, stack + (N_STATES, N_STATES)), dtype=float)
+        self.time = np.array(np.broadcast_to(time, stack), dtype=float)
 
     @classmethod
     def from_first_measurement(cls, meas: Measurement,
@@ -213,16 +235,35 @@ class GeodeticUkf:
         The mean equals the report; the fields it carries start at about R
         and the missing ones keep the wide ``INITIAL_COV`` prior.
         """
-        filt = cls(initial_belief(meas, timestamp))
+        filt = cls(normalize_state(meas.z.copy()), INITIAL_COV, timestamp)
         filt.update(meas)
         return filt
 
-    def predict(self, dt: float) -> GaussianBelief:
-        # Q is rebuilt every step from the current latitude/course estimate
-        q = build_process_noise(self.belief.mean.lat, self.belief.mean.cog, dt)
-        self.belief = predict(self.belief, dt, q)
-        return self.belief
+    @property
+    def belief(self) -> GaussianBelief:
+        """The belief of a single-belief filter."""
+        return GaussianBelief.from_arrays(self.mean, self.cov, self.time)
 
-    def update(self, meas: Measurement) -> GaussianBelief:
-        self.belief = update(self.belief, meas, MEASUREMENT_NOISE)
-        return self.belief
+    def predict(self, dt) -> None:
+        """Step each belief by its own ``dt`` seconds (broadcast over the stack)."""
+        dt = np.asarray(dt, dtype=float)
+        if dt.shape != self.time.shape:
+            dt = np.broadcast_to(dt, self.time.shape)
+        rows = _rows(dt > 0.0)
+        if rows is None:
+            return
+        mean, step = self.mean[rows], dt[rows]
+        # Q is rebuilt every step from the current latitude/course estimate
+        q = build_process_noise(mean[..., 1], mean[..., 3], step)
+        mean, self.cov[rows] = predict_arrays(mean, self.cov[rows], step, q)
+        self.mean[rows] = normalize_state(mean)
+        self.time[rows] += step
+
+    def update(self, meas: Measurement) -> None:
+        """Fuse one report per belief; ``meas`` has the stack's shape."""
+        rows = _rows(meas.mask.any(-1))
+        if rows is None:
+            return
+        self.mean[rows], self.cov[rows] = update_arrays(
+            self.mean[rows], self.cov[rows], meas.z[rows], meas.mask[rows],
+            MEASUREMENT_NOISE)

@@ -170,7 +170,7 @@ class TestAcceptance:
             b = GaussianBelief(
                 GeodeticState(-71.0, 42.0, 0.0, (40.0 + delta) % 360.0),
                 np.diag([0.0, 0.0, 0.0, 25.0]))
-            filt = GeodeticUkf(b)
+            filt = GeodeticUkf(b.mean.as_vector(), b.cov)
             history = []
             for k in range(25):
                 filt.predict(1.0)

@@ -184,7 +184,7 @@ class TestTrack:
         def poisoning_ingest(table, report, t):
             kind = ingest(table, report, t)
             if report.mmsi == 211234560 and kind == "created":
-                table.tracks[report.mmsi].filt.belief.cov[:] = float("nan")
+                table.filt.cov[table.rows[report.mmsi]] = float("nan")
             return kind
 
         monkeypatch.setattr(TrackTable, "ingest", poisoning_ingest)
@@ -235,6 +235,21 @@ class TestTrack:
             ticks = [float(r["t"]) * rate for r in csv.DictReader(fh)]
         assert ticks
         assert all(abs(k - round(k)) <= 1e-6 for k in ticks)
+
+    @pytest.mark.parametrize("rate", [3, 7])
+    def test_rows_carry_their_tick_time(self, rate, tmp_path, capsys):
+        # a step that reaches a tick lands on it, so every row's t is the
+        # tick time k / rate itself, one string per tick
+        out = tmp_path / "tracks.csv"
+        code, _, _ = run_cli(["track", "-i", CORPUS, "-o", str(out),
+                              "--rate", str(rate)], capsys)
+        assert code == EXIT_OK
+        ticks = {}
+        with open(out, newline="") as fh:
+            for row in csv.DictReader(fh):
+                ticks.setdefault(round(float(row["t"]) * rate), set()).add(row["t"])
+        assert ticks
+        assert {k: times for k, times in ticks.items() if times != {repr(k / rate)}} == {}
 
     def test_non_finite_sidecar_time_is_malformed(self, tmp_path, capsys):
         stream = tmp_path / "bad-times.nmea"

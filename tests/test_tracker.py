@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geotrack import tracker
+from geotrack import ukf
 from geotrack.ais import DynamicAisReport
 from geotrack.tracker import (DEFAULT_STALE_TIMEOUT_S, TrackTable,
                               measurement_from_report)
@@ -160,8 +160,8 @@ class TestStackedTick:
             table.ingest(report(mmsi, lon, lat, sog=6.0, cog=300.0), t0)
 
         calls = []
-        stacked = tracker.predict_arrays
-        monkeypatch.setattr(tracker, "predict_arrays",
+        stacked = ukf.predict_arrays
+        monkeypatch.setattr(ukf, "predict_arrays",
                             lambda mean, *a: calls.append(len(mean)) or stacked(mean, *a))
         out = dict(table.tick(5.5))
         # six steps from 0 and from 0.4, three from 2.7: one call per step
@@ -188,7 +188,7 @@ class TestFailureIsolation:
         table = TrackTable()
         table.ingest(report(1, -71.0, 42.3), 0.0)
         table.ingest(report(2, -70.9, 42.4), 0.0)
-        table.tracks[2].filt.belief.cov[:] = np.nan
+        table.filt.cov[table.rows[2]] = np.nan
         out = table.tick(3.0)
         assert [m for m, _ in out] == [1]
         assert table.retired == 1
@@ -198,8 +198,92 @@ class TestFailureIsolation:
         table = TrackTable()
         table.ingest(report(1, -71.0, 42.3), 0.0)
         table.ingest(report(2, -70.9, 42.4), 0.0)
-        table.tracks[2].filt.belief.cov[:] = np.nan
+        table.filt.cov[table.rows[2]] = np.nan
         assert table.ingest(report(2, -70.9, 42.401), 5.0) == "retired"
         assert table.ingest(report(1, -71.0, 42.301), 5.0) == "updated"
         assert list(table.tracks) == [1]
         assert table.retired == 1
+
+
+def solo_filter(t0, r):
+    return GeodeticUkf.from_first_measurement(measurement_from_report(r), timestamp=t0)
+
+
+def assert_same_belief(belief, filt):
+    """A table's belief equals a solo filter's, bit for bit."""
+    assert belief.timestamp == float(filt.time)
+    assert np.array_equal(belief.mean.as_vector(), filt.belief.mean.as_vector())
+    assert np.array_equal(belief.cov, filt.cov)
+
+
+class TestQueuedFusion:
+    """Reports are queued at ingest and fused at the next tick; the result is
+    the sequential chain of one solo filter per vessel."""
+
+    def test_reports_between_two_ticks_match_the_solo_chain(self):
+        reports = [(t, report(7, -71.0 + 1e-5 * t, 42.3, sog=1.0 + 0.1 * t, cog=10.0 * t))
+                   for t in (0.0, 2.0, 4.0, 6.0)]
+        table = TrackTable(filter_rate_hz=0.1)
+        assert [table.ingest(r, t) for t, r in reports] == ["created"] + ["updated"] * 3
+        out = dict(table.tick(10.0))
+
+        solo = solo_filter(*reports[0])
+        for t, r in reports[1:]:
+            solo.predict(2.0)
+            solo.update(measurement_from_report(r))
+        solo.predict(4.0)
+        assert_same_belief(out[7], solo)
+
+    def test_same_time_on_tick_and_late_reports_in_one_interval(self):
+        births = {1: (0.0, -71.0, 42.3), 2: (0.25, -70.9, 42.4), 3: (0.5, -70.8, 42.5)}
+        table = TrackTable()
+        for mmsi, (t0, lon, lat) in births.items():
+            table.ingest(report(mmsi, lon, lat), t0)
+        table.tick(4.0)
+        later = {1: [(4.0, report(1, -71.0, 42.30001))],          # on the tick: dt = 0
+                 2: [(4.5, report(2, -70.9, 42.40001, cog=91.0)),  # two at one time
+                     (4.5, report(2, -70.9, 42.40002, cog=92.0))],
+                 3: [(3.5, report(3, -70.8, 42.50001))]}           # late, within 1 s
+        for t, r in sorted((item for items in later.values() for item in items),
+                           key=lambda item: item[0]):
+            assert table.ingest(r, t) == "updated"
+        out = dict(table.tick(5.0))
+
+        for mmsi, (t0, lon, lat) in births.items():
+            solo = solo_filter(t0, report(mmsi, lon, lat))
+            t = t0
+            for t_report, r in [(4.0, None)] + later[mmsi] + [(5.0, None)]:
+                while t_report - t > 1e-9:
+                    dt = min(1.0, t_report - t)
+                    solo.predict(dt)
+                    t += dt
+                if r is not None:
+                    solo.update(measurement_from_report(r))
+            assert_same_belief(out[mmsi], solo)
+
+    def test_failed_queued_update_retires_the_track(self):
+        table = TrackTable()
+        table.ingest(report(1, -71.0, 42.3), 0.0)
+        table.ingest(report(2, -70.9, 42.4), 0.0)
+        table.tick(1.0)
+        assert table.ingest(report(2, -70.9, 42.401), 1.5) == "updated"
+        assert table.ingest(report(2, -70.9, 42.4015), 1.8) == "updated"
+        table.filt.cov[table.rows[2]] = np.nan  # the queued updates cannot be fused
+        assert [m for m, _ in table.tick(2.0)] == [1]
+        assert table.retired == 1
+        assert 2 not in table.tracks
+        assert table.ingest(report(2, -70.9, 42.402), 2.5) == "created"
+        assert [m for m, _ in table.tick(3.0)] == [1, 2]
+        assert table.retired == 1
+
+    def test_stale_drop_is_judged_after_the_queued_reports(self):
+        table = TrackTable()
+        table.ingest(report(1, -71.0, 42.3), 0.0)
+        table.tick(0.0)
+        assert table.ingest(report(1, -71.0, 42.301), 10.0) == "updated"
+        # the belief reaches 10 s once the queued report is fused
+        assert table.ingest(report(1, -71.0, 42.3005), 8.5) == "dropped_stale"
+        assert table.ingest(report(1, -71.0, 42.3008), 9.5) == "updated"
+        assert table.stale_drops == 1
+        assert table.tracks[1].last_seen == 9.5
+        assert table.tracks[1].belief.timestamp == 10.0

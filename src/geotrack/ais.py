@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 POSITION_SCALE_STANDARD = 1.0 / 600000.0  # raw 1/10000 arc-minute -> degrees
 SOG_KNOT_TENTHS_TO_MPS = 0.51444 / 10.0
@@ -57,8 +57,7 @@ class ConflictingFragments(AisError):
     pass
 
 
-@dataclass(frozen=True)
-class NmeaSentence:
+class NmeaSentence(NamedTuple):
     fragment_count: int
     fragment_index: int
     sequence_id: Optional[int]
@@ -67,7 +66,9 @@ class NmeaSentence:
     fill_bits: int
 
 
-@dataclass(frozen=True)
+# Reports are slotted and mutable only because that is the cheapest class
+# to build, one per decoded line; they compare by class and fields.
+@dataclass(slots=True)
 class DynamicAisReport:
     mmsi: int
     msg_type: int
@@ -79,7 +80,7 @@ class DynamicAisReport:
     timestamp_sec: Optional[int]  # UTC second of the report, 0-59
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StaticAisReport:
     mmsi: int
     imo: int
@@ -97,64 +98,62 @@ def compute_checksum(body: str) -> int:
     return functools.reduce(operator.xor, body.encode(), 0)
 
 
-def _split_checksum(line: str) -> tuple[str, bool]:
-    """(body, whether the body matches its declared checksum) of a stripped line."""
-    body, star, tail = line[1:].partition("*")
-    if not line or line[0] not in "!$" or not star:
-        raise MalformedSentence(f"not a checksummed NMEA sentence: {line[:40]!r}")
-    if len(tail) < 2:
-        raise MalformedSentence("missing checksum digits")
-    try:
-        declared = int(tail[:2], 16)
-    except ValueError as exc:
-        raise MalformedSentence("non-hex checksum digits") from exc
+# every two-digit hex checksum, upper, lower and mixed case, by its text
+_HEX_PAIRS = {a + b: int(a + b, 16) for a in "0123456789ABCDEFabcdef"
+              for b in "0123456789ABCDEFabcdef"}
+
+
+def parse_sentence(text: str) -> NmeaSentence:
+    """Parse one stripped ``!``/``$`` sentence. Its checksum is two hex
+    digits and its fragment, sequence and fill fields ASCII digits."""
+    body, star, tail = text[1:].partition("*")
+    if not star or text[0] not in "!$":
+        raise MalformedSentence(f"not a checksummed NMEA sentence: {text[:40]!r}")
+    declared = _HEX_PAIRS.get(tail[:2])
+    if declared is None:
+        raise MalformedSentence("missing or non-hex checksum digits")
     if not body.isascii():  # NMEA 0183 is ASCII
         raise MalformedSentence("non-ASCII sentence")
-    return body, compute_checksum(body) == declared
-
-
-def parse_sentence(line: str) -> NmeaSentence:
-    body, matches = _split_checksum(line.strip())
-    if not matches:
+    if compute_checksum(body) != declared:
         raise MalformedSentence("checksum mismatch")
     fields = body.split(",")
     if len(fields) != 7:
         raise MalformedSentence(f"expected 7 fields, got {len(fields)}")
     tag, frag_count, frag_idx, seq, channel, payload, fill = fields
-    if not tag.endswith("VDM") and not tag.endswith("VDO"):
+    if not tag.endswith(("VDM", "VDO")):
         raise MalformedSentence(f"unexpected sentence tag {tag!r}")
-    try:
-        count = int(frag_count)
-        index = int(frag_idx)
-        fill_bits = int(fill)
-    except ValueError as exc:
-        raise MalformedSentence("non-numeric fragment/fill field") from exc
-    seq_id = int(seq) if seq else None
-    if count < 1 or not 1 <= index <= count or not 0 <= fill_bits <= 5:
+    # on ASCII text, isdigit() admits only '0'-'9'
+    if not (frag_count.isdigit() and frag_idx.isdigit() and fill.isdigit()
+            and (seq.isdigit() or not seq)):
+        raise MalformedSentence("non-numeric fragment/sequence/fill field")
+    count, index, fill_bits = int(frag_count), int(frag_idx), int(fill)
+    if count < 1 or not 1 <= index <= count or fill_bits > 5:
         raise MalformedSentence("fragment bookkeeping out of range")
-    return NmeaSentence(count, index, seq_id, channel, payload, fill_bits)
+    return NmeaSentence(count, index, int(seq) if seq else None, channel, payload,
+                        fill_bits)
 
 
-# The armour alphabet (ITU-R M.1371-5, Annex 8): '0'-'W' carry the 6-bit
-# values 0-39 and '`'-'w' carry 40-63. Each maps to the base64 character of
-# the same value, and every other ASCII character to '!', which base64 lacks.
-_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_ARMOR = "".join(map(chr, range(48, 88))) + "".join(map(chr, range(96, 120)))
-_ARMOR_TO_BASE64 = str.maketrans({**{chr(c): "!" for c in range(128)},
-                                  **dict(zip(_ARMOR, _BASE64))})
+# The armour alphabet (ITU-R M.1371-5, Annex 8): '0'-'W' (48-87) carry the
+# 6-bit values 0-39 and '`'-'w' (96-119) carry 40-63. This byte table maps
+# each to the base64 character of the same value, and every other byte to
+# '!', which base64 lacks.
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_ARMOR_TO_BASE64 = b"!" * 48 + _BASE64[:40] + b"!" * 8 + _BASE64[40:] + b"!" * 136
+_NOT_ARMOR = ord("!")  # an int, which bytes search far faster than b"!"
 
 
 def dearmor(payload: str, fill_bits: int = 0) -> tuple[int, int]:
     """6-bit armored payload text -> (value, bit count), the first bit the
     most significant."""
-    text = payload.translate(_ARMOR_TO_BASE64)
-    if not text.isascii() or "!" in text:
+    # any non-ASCII character encodes to bytes above 127, which map to '!'
+    text = payload.encode("utf-8", "surrogatepass").translate(_ARMOR_TO_BASE64)
+    if _NOT_ARMOR in text:
         raise InvalidCharacter(f"invalid armor character in {payload!r}")
     nbits = 6 * len(payload)
     if fill_bits > nbits:
         raise TruncatedPayload("fill bits exceed payload length")
     pad = -len(text) % 4  # a2b_base64 decodes whole 4-character groups
-    value = int.from_bytes(binascii.a2b_base64(text + "A" * pad), "big")
+    value = int.from_bytes(binascii.a2b_base64(text + b"A" * pad), "big")
     return value >> (6 * pad + fill_bits), nbits - fill_bits
 
 
@@ -177,7 +176,8 @@ class FragmentAssembler:
     def add(self, sentence: NmeaSentence) -> Optional[tuple[int, int]]:
         """Ingest one fragment; returns the assembled (value, bit count) when
         complete."""
-        self._expire()
+        if self._pending:
+            self._expire()
         self._sentences += 1
         if sentence.fragment_count == 1:
             return dearmor(sentence.payload, sentence.fill_bits)
@@ -297,22 +297,23 @@ class StreamCounters:
 MAX_SIDECAR_TIME_S = 2.0 ** 43
 
 
-def _sidecar_split(line: str) -> tuple[float | None, str]:
-    """(leading sidecar time or None, NMEA text) of one input line.
+def _sidecar_split(text: str) -> tuple[float | None, str]:
+    """(leading sidecar time, NMEA text) of one stripped line that does not
+    start with a sentence.
 
-    Only a finite number below MAX_SIDECAR_TIME_S in magnitude is a time; a
-    line with any other head is passed on whole, and the decoder counts it
-    as malformed.
+    Only a finite number below MAX_SIDECAR_TIME_S in magnitude, written in
+    ASCII without digit-group underscores, is a time; a line with any other
+    head is passed on whole, and the decoder counts it as malformed.
     """
-    if not line.lstrip().startswith(("!", "$")) and "," in line:
-        head, rest = line.split(",", 1)
+    head, comma, rest = text.partition(",")
+    if comma and head.isascii() and "_" not in head:
         try:
             t = float(head)
         except ValueError:
             t = math.nan
         if abs(t) < MAX_SIDECAR_TIME_S:  # False for nan and inf
-            return t, rest
-    return None, line
+            return t, rest.lstrip()
+    return None, text
 
 
 def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None):
@@ -327,12 +328,15 @@ def decode_lines(lines: Iterable[str], counters: StreamCounters | None = None):
     counters = counters if counters is not None else StreamCounters()
     assembler = FragmentAssembler()
     for line in lines:
-        if not line.strip():
+        text = line.strip()
+        if not text:
             continue
         counters.lines += 1
-        t, sentence_text = _sidecar_split(line)
+        t = None
+        if text[0] not in "!$":
+            t, text = _sidecar_split(text)
         try:
-            sentence = parse_sentence(sentence_text)
+            sentence = parse_sentence(text)
             payload = assembler.add(sentence)
             if payload is None:
                 continue

@@ -17,20 +17,9 @@ OUT_OF_ORDER_TOLERANCE_S = 1.0
 ON_TIME_S = 1e-9  # a belief this close to a target time has reached it
 
 
-def measurement_from_report(report: DynamicAisReport) -> Measurement:
-    """Map a decoded dynamic report onto the filter's masked measurement.
-
-    A position at a pole is dropped: the longitude process noise is
-    undefined there.
-    """
-    lon, lat = report.lon, report.lat
-    if lat is not None and abs(lat) >= 90.0:
-        lon = lat = None
-    return Measurement.from_fields(lon=lon, lat=lat, sog=report.sog, cog=report.cog)
-
-
 def _healthy(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Which beliefs of a stack a filter step can take: finite, off the poles."""
+    """Which beliefs of a stack, or whether one belief, a filter step can
+    take: finite, off the poles."""
     return (np.isfinite(mean).all(-1) & np.isfinite(cov).all((-2, -1))
             & (np.abs(mean[..., 1]) < 90.0))
 
@@ -80,7 +69,7 @@ class TrackTable:
         self.live = np.zeros(0, dtype=bool)
         self.rows: dict[int, int] = {}
         self._free: list[int] = []
-        self._queue: list[tuple[int, float, Measurement]] = []
+        self._queue: list[tuple] = []  # (row, t, lon, lat, sog, cog); None if missing
         self.stale_drops = 0
         self.skipped_reports = 0
         self.retired = 0
@@ -126,11 +115,15 @@ class TrackTable:
         return ok
 
     def ingest(self, report: DynamicAisReport, t: float) -> str:
-        """Route one report and queue it for fusion; returns its event kind."""
-        meas = measurement_from_report(report)
+        """Route one report and queue its fields for fusion; returns its event
+        kind. A position at a pole is dropped: the longitude process noise is
+        undefined there."""
+        lon, lat = report.lon, report.lat
+        if lat is not None and abs(lat) >= 90.0:
+            lon = lat = None
         row = self.rows.get(report.mmsi)
         if row is None:
-            if not (meas.mask[0] and meas.mask[1]):
+            if lon is None or lat is None:
                 # cannot seed a position estimate from a positionless report
                 self.skipped_reports += 1
                 return "skipped"
@@ -138,21 +131,24 @@ class TrackTable:
             self.mmsi[row], self.live[row] = report.mmsi, True
             # the prior that the queued report is fused into, as in
             # GeodeticUkf.from_first_measurement
-            self.filt.mean[row] = normalize_state(meas.z.copy())
+            prior = np.array([lon, lat, report.sog, report.cog], dtype=float)
+            self.filt.mean[row] = normalize_state(np.where(np.isnan(prior), 0.0, prior))
             self.filt.cov[row] = INITIAL_COV
             self.filt.time[row] = self.horizon[row] = t
             kind = "created"
         elif t < self.horizon[row] - OUT_OF_ORDER_TOLERANCE_S:
             self.stale_drops += 1
             return "dropped_stale"
-        elif not self._retire_unhealthy(np.array([row]))[0]:
+        elif not _healthy(self.filt.mean[row], self.filt.cov[row]):
+            self._drop([row])
+            self.retired += 1
             self._queue = [entry for entry in self._queue if entry[0] != row]
             return "retired"
         else:
             self.horizon[row] = max(self.horizon[row], t)
             kind = "updated"
         self.last_seen[row] = t
-        self._queue.append((row, t, meas))
+        self._queue.append((row, t, lon, lat, report.sog, report.cog))
         return kind
 
     def _advance(self, rows: np.ndarray, target: np.ndarray) -> None:
@@ -192,14 +188,13 @@ class TrackTable:
             batch = [entry for entry in batch if self.live[entry[0]]]
             if not batch:
                 continue
-            rows = np.array([row for row, _, _ in batch])
-            self._advance(rows, np.array([t for _, t, _ in batch]))
-            z = np.zeros(self.filt.mean.shape)
-            mask = np.zeros(z.shape, dtype=bool)
-            z[rows] = [meas.z for _, _, meas in batch]
-            mask[rows] = [meas.mask for _, _, meas in batch]
-            mask[~self.live] = False  # retired on the way to its report
-            self.filt.update(Measurement(z, mask))
+            fields = np.array(batch, dtype=float)  # a missing field reads as nan
+            rows = fields[:, 0].astype(np.intp)
+            self._advance(rows, fields[:, 1])
+            z = np.full(self.filt.mean.shape, np.nan)
+            z[rows] = fields[:, 2:]
+            # a row retired on the way to its report takes no update
+            self.filt.update(Measurement(z, ~np.isnan(z) & self.live[:, None]))
             self._retire_unhealthy(rows[self.live[rows]])
 
     def tick(self, t: float) -> TickRows:

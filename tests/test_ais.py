@@ -270,17 +270,72 @@ class TestArmourAlphabet:
         assert counters.malformed == 2
 
 
+def checksummed(body, declared=None):
+    """``!body*XX``; ``declared`` replaces the two checksum digits."""
+    return f"!{body}*{compute_checksum(body):02X}" if declared is None else f"!{body}*{declared}"
+
+
+class TestAsciiDigits:
+    """Every number in a line is written in ASCII digits: anything else that
+    Python's int() or float() would read makes the line malformed."""
+
+    PAYLOAD, FILL = TestArmourAlphabet.PAYLOAD, TestArmourAlphabet.FILL
+    # channel '0' and sequence id 9 give this body the checksum 0x0C
+    LOW_SUM = f"AIVDM,1,1,9,0,{PAYLOAD},{FILL}"
+
+    def test_low_checksum_body(self):
+        assert compute_checksum(self.LOW_SUM) == 0x0C
+        for declared in ("0C", "0c"):
+            assert len(list(decode_lines([checksummed(self.LOW_SUM, declared)]))) == 1
+
+    @pytest.mark.parametrize("line", [
+        checksummed(f"AIVDM,+1,1,,A,{PAYLOAD},{FILL}"),    # signed fragment count
+        checksummed(f"AIVDM, 1,1,,A,{PAYLOAD},{FILL}"),    # padded fragment count
+        checksummed(f"AIVDM,1,+1,,A,{PAYLOAD},{FILL}"),    # signed fragment index
+        checksummed(f"AIVDM,1,1,,A,{PAYLOAD},0_0"),        # digit-group underscore
+        checksummed(f"AIVDM,1,1,+1,A,{PAYLOAD},{FILL}"),   # signed sequence id
+        checksummed(f"AIVDM,1,1,x,A,{PAYLOAD},{FILL}"),    # non-numeric sequence id
+        checksummed(LOW_SUM, "+C"),                        # signed checksum
+        checksummed(LOW_SUM, " C"),                        # padded checksum
+        "1_0," + checksummed(f"AIVDM,1,1,,A,{PAYLOAD},{FILL}"),           # reads as 10.0
+        "\u0661\u0662," + checksummed(f"AIVDM,1,1,,A,{PAYLOAD},{FILL}"),  # Arabic-Indic 12
+    ])
+    def test_other_number_forms_are_malformed(self, line):
+        counters = StreamCounters()
+        assert list(decode_lines([line], counters)) == []
+        assert (counters.lines, counters.malformed) == (1, 1)
+
+
+class TestReportValues:
+    """Reports are values: they compare by class and fields."""
+
+    FIELDS = dict(mmsi=366999784, msg_type=1, lon=-70.9, lat=42.3, sog=4.6,
+                  cog=9.0, heading=None, timestamp_sec=0)
+
+    def test_equal_fields_compare_equal(self):
+        assert DynamicAisReport(**self.FIELDS) == DynamicAisReport(**self.FIELDS)
+        assert DynamicAisReport(**self.FIELDS) != DynamicAisReport(
+            **{**self.FIELDS, "sog": 4.7})
+
+    def test_class_is_part_of_the_value(self):
+        report = DynamicAisReport(**self.FIELDS)
+        assert report != tuple(self.FIELDS.values())
+        static = StaticAisReport(366999784, 1, "", 70, 0, 0, 0, 0, 0.0)
+        assert report != static and static != report
+        assert report != ais.NmeaSentence(1, 1, None, "A", "", 0)
+
+
 class TestSidecarTime:
     LINE = enc.sentence(1, 1, None, "A", TestArmourAlphabet.PAYLOAD,
                         TestArmourAlphabet.FILL)
 
     def test_time_is_framing(self):
         counters = StreamCounters()
-        out = list(decode_lines([self.LINE, f"12.5,{self.LINE}", f" 3 ,{self.LINE}\n"],
-                                counters))
-        assert [t for t, _ in out] == [None, 12.5, 3.0]
-        assert out[0][1] == out[1][1] == out[2][1]
-        assert counters.lines == counters.decoded == 3
+        out = list(decode_lines([self.LINE, f"12.5,{self.LINE}", f" 3 ,{self.LINE}\n",
+                                 f"1e3,{self.LINE}", f"-5, {self.LINE}"], counters))
+        assert [t for t, _ in out] == [None, 12.5, 3.0, 1000.0, -5.0]
+        assert all(report == out[0][1] for _, report in out)
+        assert counters.lines == counters.decoded == 5
 
     def test_reports_stream_as_lines_arrive(self):
         pulled = []

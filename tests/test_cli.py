@@ -39,6 +39,46 @@ class TestDecode:
         static = [r for r in rows if r["kind"] == "static"]
         assert any(r["name"] == "GLOVIS CHORUS" for r in static)
 
+    # the field of tests/data/ais_corpus_truth.json that each column holds
+    TRUTH_KEYS = {"kind": "kind", "mmsi": "mmsi", "msg_type": "msg_type", "lon_deg": "lon",
+                  "lat_deg": "lat", "sog_mps": "sog", "cog_deg": "cog",
+                  "heading_deg": "heading", "timestamp_sec": "timestamp_sec",
+                  "imo": "imo", "name": "name", "type_code": "type_code",
+                  "dim_to_bow_m": "dim_to_bow", "dim_to_stern_m": "dim_to_stern",
+                  "dim_to_port_m": "dim_to_port",
+                  "dim_to_starboard_m": "dim_to_starboard", "draught_m": "draught"}
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_every_field_matches_the_corpus_truth(self, fmt, tmp_path, capsys):
+        out = tmp_path / f"decoded.{fmt}"
+        code, _, err = run_cli(["decode", "-i", CORPUS, "-o", str(out),
+                                "--format", fmt], capsys)
+        assert code == EXIT_OK
+        with open(os.path.join(DATA_DIR, "ais_corpus_truth.json")) as fh:
+            truth = json.load(fh)
+        assert err == (f"lines={truth['n_lines']} decoded={truth['n_reports']} "
+                       f"malformed={truth['n_malformed']} "
+                       f"unsupported={truth['n_unsupported']}\n")
+        with open(out, newline="") as fh:
+            if fmt == "csv":
+                reader = csv.reader(fh)
+                assert next(reader) == _DECODE_CSV_COLUMNS
+                rows = [dict(zip(_DECODE_CSV_COLUMNS, row, strict=True)) for row in reader]
+            else:
+                rows = [json.loads(line) for line in fh]
+        assert len(rows) == truth["n_reports"]
+        for row, want in zip(rows, truth["reports"]):
+            for column, key in self.TRUTH_KEYS.items():
+                got, expected = row.get(column), want.get(key)
+                if fmt == "csv" and expected is not None and not isinstance(expected, str):
+                    got = type(expected)(got)
+                if expected is None:  # a missing field is empty
+                    assert got == ("" if fmt == "csv" else None), (column, row)
+                elif isinstance(expected, float):
+                    assert got == pytest.approx(expected, rel=1e-12), (column, row)
+                else:
+                    assert got == expected and type(got) is type(expected), (column, row)
+
     def test_jsonl_output(self, tmp_path, capsys):
         out = tmp_path / "decoded.jsonl"
         code, _, _ = run_cli(["decode", "-i", CORPUS, "-o", str(out),

@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from geotrack import ukf
 from geotrack.ais import DynamicAisReport
-from geotrack.tracker import (DEFAULT_STALE_TIMEOUT_S, TrackTable,
-                              measurement_from_report)
-from geotrack.ukf import GeodeticUkf
+from geotrack.tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable
+from geotrack.ukf import GeodeticUkf, Measurement
 
 
 def report(mmsi, lon, lat, sog=7.0, cog=90.0, msg_type=1):
     return DynamicAisReport(mmsi=mmsi, msg_type=msg_type, lon=lon, lat=lat,
                             sog=sog, cog=cog, heading=None, timestamp_sec=None)
+
+
+def measurement(r):
+    """The masked measurement a table fuses for report ``r`` off the poles."""
+    return Measurement.from_fields(lon=r.lon, lat=r.lat, sog=r.sog, cog=r.cog)
 
 
 def walk(mmsi, lon0, lat0, n, dt=10.0, dlat=1e-4):
@@ -138,12 +144,33 @@ class TestPrediction:
 
 class TestMeasurementMapping:
     def test_mask_follows_missing_fields(self):
-        r = DynamicAisReport(mmsi=1, msg_type=18, lon=-71.0, lat=42.3,
-                             sog=None, cog=None, heading=220, timestamp_sec=5)
-        m = measurement_from_report(r)
-        assert m.mask.tolist() == [True, True, False, False]
-        assert m.z[0] == -71.0
-        assert m.z[1] == 42.3
+        # a Class B report without SOG and COG, then a polar one whose
+        # position is dropped: each fuses only the fields it carries
+        first = DynamicAisReport(mmsi=1, msg_type=18, lon=-71.0, lat=42.3,
+                                 sog=None, cog=None, heading=220, timestamp_sec=5)
+        polar = DynamicAisReport(mmsi=1, msg_type=18, lon=-71.0, lat=90.0,
+                                 sog=4.0, cog=None, heading=None, timestamp_sec=None)
+        table = TrackTable()
+        table.ingest(first, 0.0)
+        table.ingest(polar, 1.0)
+        out = dict(table.tick(1.0))
+
+        solo = GeodeticUkf.from_first_measurement(
+            Measurement(np.array([-71.0, 42.3, 0.0, 0.0]), [True, True, False, False]),
+            timestamp=0.0)
+        solo.predict(1.0)
+        solo.update(Measurement(np.array([0.0, 0.0, 4.0, 0.0]),
+                                [False, False, True, False]))
+        assert_same_belief(out[1], solo)
+
+    def test_ingest_leaves_the_report_unchanged(self):
+        table = TrackTable()
+        for t, r in [(0.0, report(1, -71.0, 42.3)), (5.0, report(1, -71.0, 42.3005)),
+                     (6.0, report(2, None, None)), (7.0, report(1, 10.0, 90.0))]:
+            before = dataclasses.replace(r)
+            table.ingest(r, t)
+            table.tick(t)
+            assert r == before
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -170,7 +197,7 @@ class TestStackedTick:
 
         for mmsi, (t0, lon, lat) in births.items():
             r = report(mmsi, lon, lat, sog=6.0, cog=300.0)
-            solo = GeodeticUkf.from_first_measurement(measurement_from_report(r),
+            solo = GeodeticUkf.from_first_measurement(measurement(r),
                                                       timestamp=t0)
             t = t0
             while 5.5 - t > 1e-9:
@@ -206,7 +233,7 @@ class TestFailureIsolation:
 
 
 def solo_filter(t0, r):
-    return GeodeticUkf.from_first_measurement(measurement_from_report(r), timestamp=t0)
+    return GeodeticUkf.from_first_measurement(measurement(r), timestamp=t0)
 
 
 def assert_same_belief(belief, filt):
@@ -230,7 +257,7 @@ class TestQueuedFusion:
         solo = solo_filter(*reports[0])
         for t, r in reports[1:]:
             solo.predict(2.0)
-            solo.update(measurement_from_report(r))
+            solo.update(measurement(r))
         solo.predict(4.0)
         assert_same_belief(out[7], solo)
 
@@ -258,7 +285,7 @@ class TestQueuedFusion:
                     solo.predict(dt)
                     t += dt
                 if r is not None:
-                    solo.update(measurement_from_report(r))
+                    solo.update(measurement(r))
             assert_same_belief(out[mmsi], solo)
 
     def test_failed_queued_update_retires_the_track(self):

@@ -70,9 +70,11 @@ _seed.__name__ = "int"  # argparse names it in "invalid int value"
 
 
 def _open_input(path: str):
+    # a byte that is not UTF-8 reads as a lone surrogate: a malformed line
     if path == "-":
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return sys.stdin
-    return open(path, "r", encoding="utf-8")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def _open_output(path: str):

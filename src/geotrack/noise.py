@@ -75,32 +75,32 @@ class WaveKinematics:
     orbital_speed: float       # m/s
 
 
-def _solve_wavenumber(omega: float, depth: float, g: float) -> float:
+def _solve_wavenumber(omega: float, depth: float) -> float:
     """Wavenumber from the linear dispersion relation w^2 = g k tanh(k h)."""
     target = omega * omega
-    lo = target / g  # tanh <= 1 implies root >= w^2/g
+    lo = target / STANDARD_GRAVITY  # tanh <= 1 implies root >= w^2/g
     hi = lo
-    while g * hi * math.tanh(hi * depth) < target:
+    while STANDARD_GRAVITY * hi * math.tanh(hi * depth) < target:
         hi *= 2.0
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if g * mid * math.tanh(mid * depth) < target:
+        if STANDARD_GRAVITY * mid * math.tanh(mid * depth) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def wave_orbital_kinematics(height: float, period: float, depth: float = 1000.0,
-                            g: float = STANDARD_GRAVITY) -> WaveKinematics:
+def wave_orbital_kinematics(height: float, period: float,
+                            depth: float = 1000.0) -> WaveKinematics:
     """Orbital radius and max particle speed of a progressive surface wave."""
     if height < 0 or period <= 0 or depth <= 0:
         raise DomainError("require H >= 0, T > 0, depth > 0")
     omega = 2.0 * math.pi / period
-    k = _solve_wavenumber(omega, depth, g)
+    k = _solve_wavenumber(omega, depth)
     coth = math.cosh(k * depth) / math.sinh(k * depth)
     zeta = abs(-(height / 2.0) * coth)
-    u_max = g * period * height * k / (4.0 * math.pi) * coth
+    u_max = STANDARD_GRAVITY * period * height * k / (4.0 * math.pi) * coth
     return WaveKinematics(height, period, zeta, u_max)
 
 

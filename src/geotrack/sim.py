@@ -16,7 +16,8 @@ import numpy as np
 from .ekf import PlanarEkf, TangentPlane
 from .geodesy import (GeoPoint, great_circle_final_bearing, great_circle_inverse,
                       propagate_sphere, vincenty_inverse, NonConvergenceError)
-from .noise import METERS_PER_DEGREE
+from .noise import (MEAS_STD_COG_DEG, MEAS_STD_LAT_DEG, MEAS_STD_LON_DEG, MEAS_STD_SOG_MPS,
+                    METERS_PER_DEGREE)
 from .ukf import GeodeticUkf, Measurement
 
 STRAIGHT = "straight"
@@ -28,43 +29,54 @@ class TrajectorySegment:
     kind: str
     duration: float       # seconds
     speed: float          # m/s
-    turn_rate: float = 0.0  # deg/s, turn segments only
+    turn_rate: float = 0.0  # deg/s: zero on a straight, nonzero on a turn
 
     def __post_init__(self):
         if self.kind not in (STRAIGHT, TURN):
             raise ValueError(f"unknown segment kind {self.kind!r}")
         if self.duration <= 0 or self.speed < 0:
             raise ValueError("segment duration must be > 0 and speed >= 0")
+        if (self.kind == TURN) != (self.turn_rate != 0):
+            raise ValueError(f"{self.kind} at {self.turn_rate:g} deg/s: a straight has "
+                             "no turn rate and a turn a nonzero one")
+
+
+# run_comparison's (n, 4, 4) float64 covariance stacks must be addressable
+MAX_STEPS = np.iinfo(np.intp).max // (4 * 4 * 8)
 
 
 @dataclass(frozen=True)
 class Scenario:
     start: GeoPoint
-    initial_cog: float
     segments: tuple[TrajectorySegment, ...]
+    initial_cog: float = 0.0
     truth_rate_hz: float = 1.0
     ais_interval: float = 6.0
     sog_noise: float = 0.1      # process jitter injected into SOG, m/s
     cog_noise: float = 0.5      # process jitter injected into COG, deg
-    meas_noise: tuple[float, float, float, float] = (1.90e-5, 1.45e-5, 0.05, 0.2)
+    meas_noise: tuple[float, float, float, float] = (
+        MEAS_STD_LON_DEG, MEAS_STD_LAT_DEG, MEAS_STD_SOG_MPS, MEAS_STD_COG_DEG)
     seed: int = 0
     name: str = "scenario"
 
     def __post_init__(self):
         if not self.truth_rate_hz > 0:
             raise ValueError("truth_rate_hz must be positive")
-        if self.ais_interval < 1.0 / self.truth_rate_hz:
-            raise ValueError("ais_interval must be >= one truth step")
         # reports are sampled on the truth grid, every ais_interval / dt steps
         steps = self.ais_interval * self.truth_rate_hz
-        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
-            raise ValueError(f"ais_interval must be a whole number of truth steps "
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"ais_interval must be a positive whole number of truth steps "
                              f"of {1.0 / self.truth_rate_hz:g} s, got {self.ais_interval:g}")
         # the filters start from the report at step 0
-        if self.n_steps < 1:
-            raise ValueError("scenario must span at least one truth step")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        steps = self.duration * self.truth_rate_hz + 1e-9
+        if not 1 <= steps < MAX_STEPS:
+            raise ValueError(f"scenario must span 1 to {MAX_STEPS} truth steps, got {steps:g}")
+        if not all(std >= 0 for std in (self.sog_noise, self.cog_noise, *self.meas_noise)):
+            raise ValueError("noise standard deviations must be >= 0")
+        if not self.seed == int(self.seed) >= 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def duration(self) -> float:
@@ -318,6 +330,19 @@ def stability_sweep(intervals=range(2, 69), n_legs: int = 10
 # Scenario file format: key = value lines plus a [segments] table
 # ---------------------------------------------------------------------------
 
+# The file keys in file order: the Scenario field each one sets, and its
+# place in that field when the field holds several numbers
+_FILE_KEYS = {
+    "start_lon": ("start", 0), "start_lat": ("start", 1),
+    "initial_cog": ("initial_cog", None), "truth_rate_hz": ("truth_rate_hz", None),
+    "ais_interval": ("ais_interval", None),
+    "sog_noise": ("sog_noise", None), "cog_noise": ("cog_noise", None),
+    "meas_lon_noise": ("meas_noise", 0), "meas_lat_noise": ("meas_noise", 1),
+    "meas_sog_noise": ("meas_noise", 2), "meas_cog_noise": ("meas_noise", 3),
+    "seed": ("seed", None),
+}
+
+
 def _number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -327,51 +352,39 @@ def _number(text: str) -> float:
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Scenario from its file text; every fault in the text is a ValueError."""
-    keys: dict[str, float] = {}
+    fields = {"start": [None, None], "meas_noise": list(Scenario.meas_noise)}
     segments: list[TrajectorySegment] = []
     in_segments = False
     for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower() == "[segments]":
+        line = raw_line.split("#", 1)[0].strip().lower()
+        if line == "[segments]":
             in_segments = True
-            continue
-        if in_segments:
-            parts = line.split()
-            if len(parts) not in (3, 4):
+        elif in_segments and line:
+            kind, *numbers = line.split()
+            if len(numbers) not in (2, 3):
                 raise ValueError(f"bad segment row: {raw_line!r}")
-            kind, duration, speed = parts[0].lower(), _number(parts[1]), _number(parts[2])
-            rate = _number(parts[3]) if len(parts) == 4 and parts[3] != "-" else 0.0
-            segments.append(TrajectorySegment(kind, duration, speed, rate))
-        else:
-            if "=" not in line:
+            if numbers[2:] == ["-"]:  # the rate of a straight
+                numbers.pop()
+            segments.append(TrajectorySegment(kind, *map(_number, numbers)))
+        elif line:
+            key, equals, value = (part.strip() for part in line.partition("="))
+            if not equals:
                 raise ValueError(f"bad scenario line: {raw_line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            keys[key.lower()] = _number(value)
-    if not segments:
-        raise ValueError("scenario has no segments")
-    missing = [k for k in ("start_lon", "start_lat") if k not in keys]
+            if key not in _FILE_KEYS:
+                raise ValueError(f"unknown scenario key {key!r}")
+            field, index = _FILE_KEYS[key]
+            # a seed in digits is read exactly, past float precision too
+            value = int(value) if field == "seed" and value.isdecimal() else _number(value)
+            if index is None:
+                fields[field] = value
+            else:
+                fields[field][index] = value
+    missing = [key for key, v in zip(("start_lon", "start_lat"), fields["start"]) if v is None]
     if missing:
         raise ValueError(f"scenario has no {' or '.join(missing)}")
-    seed = keys.get("seed", 0.0)
-    if not seed.is_integer():
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return Scenario(
-        start=GeoPoint(keys["start_lon"], keys["start_lat"]),
-        initial_cog=keys.get("initial_cog", 0.0),
-        segments=tuple(segments),
-        truth_rate_hz=keys.get("truth_rate_hz", 1.0),
-        ais_interval=keys.get("ais_interval", 6.0),
-        sog_noise=keys.get("sog_noise", 0.1),
-        cog_noise=keys.get("cog_noise", 0.5),
-        meas_noise=(keys.get("meas_lon_noise", 1.90e-5),
-                    keys.get("meas_lat_noise", 1.45e-5),
-                    keys.get("meas_sog_noise", 0.05),
-                    keys.get("meas_cog_noise", 0.2)),
-        seed=int(seed),
-        name=name,
-    )
+    return Scenario(**dict(fields, start=GeoPoint(*fields["start"]),
+                           meas_noise=tuple(fields["meas_noise"])),
+                    segments=tuple(segments), name=name)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -380,23 +393,10 @@ def load_scenario(path: str) -> Scenario:
 
 
 def format_scenario(s: Scenario) -> str:
-    lines = [
-        f"start_lon = {s.start.lon}",
-        f"start_lat = {s.start.lat}",
-        f"initial_cog = {s.initial_cog}",
-        f"truth_rate_hz = {s.truth_rate_hz}",
-        f"ais_interval = {s.ais_interval}",
-        f"sog_noise = {s.sog_noise}",
-        f"cog_noise = {s.cog_noise}",
-        f"meas_lon_noise = {s.meas_noise[0]}",
-        f"meas_lat_noise = {s.meas_noise[1]}",
-        f"meas_sog_noise = {s.meas_noise[2]}",
-        f"meas_cog_noise = {s.meas_noise[3]}",
-        f"seed = {s.seed}",
-        "",
-        "[segments]",
-        "# kind duration_s speed_mps turn_rate_dps",
-    ]
+    fields = dict(vars(s), start=(s.start.lon, s.start.lat))
+    lines = [f"{key} = {fields[field] if index is None else fields[field][index]}"
+             for key, (field, index) in _FILE_KEYS.items()]
+    lines += ["", "[segments]", "# kind duration_s speed_mps turn_rate_dps"]
     for seg in s.segments:
         rate = "-" if seg.kind == STRAIGHT else repr(seg.turn_rate)
         lines.append(f"{seg.kind} {seg.duration} {seg.speed} {rate}")

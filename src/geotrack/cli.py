@@ -161,19 +161,20 @@ def cmd_track(args) -> int:
             while k <= last:
                 if not table.rows:  # nothing to predict: jump to the last tick
                     k = last
-                rows = table.tick(k / args.rate)
-                filt = rows.filt
-                p_trace = np.trace(filt.cov, axis1=-2, axis2=-1)
-                dst.writelines(f"{t_row!r},{mmsi},{lon!r},{lat!r},{sog!r},{cog!r},{p!r}\n"
-                               for t_row, mmsi, (lon, lat, sog, cog), p
-                               in zip(filt.time.tolist(), rows.mmsi.tolist(),
-                                      filt.mean.tolist(), p_trace.tolist()))
+                t_tick = k / args.rate
+                rows = table.tick(t_tick)
+                stamp = repr(t_tick)  # every row of a tick carries its time
+                p_trace = np.trace(table.filt.cov[rows], axis1=-2, axis2=-1)
+                dst.writelines(f"{stamp},{mmsi},{lon!r},{lat!r},{sog!r},{cog!r},{p!r}\n"
+                               for mmsi, (lon, lat, sog, cog), p
+                               in zip(table.mmsi[rows].tolist(),
+                                      table.filt.mean[rows].tolist(), p_trace.tolist()))
                 dst.flush()  # on a live feed, each tick's rows go out at once
                 k += 1
             table.ingest(report, t)
-    live = len(table.tracks)  # fuses the reports that came after the last tick
+    table.fuse()  # the reports that came after the last tick
     print(f"lines={counters.lines} decoded={counters.decoded} "
-          f"malformed={counters.malformed} tracks={live} "
+          f"malformed={counters.malformed} tracks={len(table.rows)} "
           f"stale_drops={table.stale_drops} skipped={table.skipped_reports} "
           f"retired={table.retired}", file=sys.stderr)
     return EXIT_OK
@@ -232,8 +233,7 @@ def _sphere_error_block(seed: int, start: int, count: int,
     w2 = 1.0 - geodesy.WGS84_E2 * np.sin(phi) ** 2
     a_per_deg = math.pi / 180.0 * geodesy.WGS84_SEMI_MAJOR_M
     dlat = (s_lat - v_lat) * a_per_deg * (1.0 - geodesy.WGS84_E2) / w2 ** 1.5
-    dlon = (((s_lon - v_lon + 180.0) % 360.0 - 180.0)
-            * a_per_deg * np.cos(phi) / np.sqrt(w2))
+    dlon = geodesy.normalize_lon(s_lon - v_lon) * a_per_deg * np.cos(phi) / np.sqrt(w2)
     err = np.hypot(dlon, dlat)
     return np.column_stack((lat, bearing, distance, err, err / distance * 100.0))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import masked_joseph_update, symmetrize
-from .geodesy import WGS84_E2 as _E2, WGS84_SEMI_MAJOR_M, DomainError, GeoPoint
+from .geodesy import WGS84_E2 as _E2, WGS84_SEMI_MAJOR_M, DomainError, GeoPoint, wrap_bearing
 from .ukf import Measurement
 
 # Default EKF tuning (planar/SI units).
@@ -146,4 +146,4 @@ class PlanarEkf:
 
     @property
     def cog_deg(self) -> float:
-        return math.degrees(self.x[3]) % 360.0
+        return wrap_bearing(math.degrees(self.x[3]))

@@ -29,13 +29,15 @@ class NonConvergenceError(RuntimeError):
 
 
 def normalize_lon(lon_deg: float) -> float:
-    """Wrap longitude into [-180, 180)."""
-    return (lon_deg + 180.0) % 360.0 - 180.0
+    """Wrap a longitude, or an array of them, into [-180, 180)."""
+    return wrap_bearing(lon_deg + 180.0) - 180.0
 
 
 def wrap_bearing(bearing_deg: float) -> float:
-    """Wrap a bearing into [0, 360)."""
-    return bearing_deg % 360.0
+    """Wrap a bearing, or an array of them, into [0, 360)."""
+    wrapped = bearing_deg % 360.0
+    # a tiny negative bearing rounds up to 360.0, which is 0
+    return wrapped * (wrapped < 360.0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def propagate_sphere_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
     lat2 = np.arcsin(np.clip(sin_lat2, -1.0, 1.0))
     dlon = np.arctan2(sin_c * np.sin(brg),
                       cos_lat * cos_c - sin_lat * sin_c * cos_brg)
-    lon2 = (np.asarray(lon_deg, dtype=float) + np.degrees(dlon) + 180.0) % 360.0 - 180.0
+    lon2 = normalize_lon(np.asarray(lon_deg, dtype=float) + np.degrees(dlon))
     return lon2, np.degrees(lat2)
 
 
@@ -173,7 +175,7 @@ def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
     c = (f / 16.0) * cos2_alpha * (4.0 + f * (4.0 - 3.0 * cos2_alpha))
     dlon = lam - (1.0 - c) * f * sin_alpha * (
         sigma + c * sin_s * (cos_2sm + c * cos_s * (-1.0 + 2.0 * cos_2sm ** 2)))
-    lon2 = (lon1 + np.degrees(dlon) + 180.0) % 360.0 - 180.0
+    lon2 = normalize_lon(lon1 + np.degrees(dlon))
     alpha2 = np.degrees(np.arctan2(sin_alpha, -tmp)) % 360.0
     lat2 = np.degrees(lat2)
     if scalar:
@@ -265,8 +267,7 @@ def sample_uniform_sphere_arrays(n: int, rng_seed: int):
     v = rng.random(n)
     lon = (180.0 / np.pi) * (2.0 * np.pi * u)
     lat = (180.0 / np.pi) * (np.arccos(2.0 * v - 1.0) - np.pi / 2.0)
-    lon = (lon + 180.0) % 360.0 - 180.0
-    return lon, lat
+    return normalize_lon(lon), lat
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ekf import PlanarEkf, TangentPlane
 from .geodesy import (GeoPoint, great_circle_final_bearing, great_circle_inverse,
-                      propagate_sphere, vincenty_inverse, NonConvergenceError)
+                      normalize_lon, propagate_sphere, vincenty_inverse, NonConvergenceError)
 from .noise import (MEAS_STD_COG_DEG, MEAS_STD_LAT_DEG, MEAS_STD_LON_DEG, MEAS_STD_SOG_MPS,
                     METERS_PER_DEGREE)
 from .ukf import GeodeticUkf, Measurement
@@ -210,7 +210,7 @@ def _position_error_m(lon1, lat1, lon2, lat2) -> float:
 
 def _metrics(truth: TruthTrajectory, record: FilterRunRecord) -> RunMetrics:
     res = record.est - np.column_stack([truth.lon, truth.lat, truth.sog, truth.cog])
-    res[:, 3] = (res[:, 3] + 180.0) % 360.0 - 180.0
+    res[:, 3] = normalize_lon(res[:, 3])
     rmse = np.sqrt(np.mean(res ** 2, axis=0))
     return RunMetrics(
         rmse_lon=float(rmse[0]), rmse_lat=float(rmse[1]),

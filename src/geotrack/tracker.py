@@ -1,48 +1,17 @@
 """Per-MMSI track management over one stacked filter: reports are queued as
-they arrive and fused at the next tick or read, and every track step, to a
-report or to a tick, is one stacked call for all the tracks that take it."""
+they arrive and fused at the next tick or ``fuse()``, and every track step, to
+a report or to a tick, is one stacked call for all the tracks that take it."""
 
 from __future__ import annotations
-
-from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
 from .ais import DynamicAisReport
-from .ukf import INITIAL_COV, GaussianBelief, GeodeticUkf, Measurement, normalize_state
+from .ukf import INITIAL_COV, GeodeticUkf, Measurement, normalize_state
 
 DEFAULT_STALE_TIMEOUT_S = 180.0  # longest Class A reporting interval (anchored)
 OUT_OF_ORDER_TOLERANCE_S = 1.0
 ON_TIME_S = 1e-9  # a belief this close to a target time has reached it
-
-
-def _healthy(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Which beliefs of a stack, or whether one belief, a filter step can
-    take: finite, off the poles."""
-    return (np.isfinite(mean).all(-1) & np.isfinite(cov).all((-2, -1))
-            & (np.abs(mean[..., 1]) < 90.0))
-
-
-class TrackSnapshot(NamedTuple):
-    belief: GaussianBelief
-    last_seen: float    # time of the last accepted report
-
-
-class TickRows(Sequence):
-    """One tick's tracks in MMSI order, held as arrays: ``mmsi`` and a
-    stacked ``filt``; item i is ``(mmsi, belief)``."""
-
-    def __init__(self, mmsi: np.ndarray, filt: GeodeticUkf):
-        self.mmsi, self.filt = mmsi, filt
-
-    def __len__(self) -> int:
-        return len(self.mmsi)
-
-    def __getitem__(self, i: int) -> tuple[int, GaussianBelief]:
-        filt = self.filt
-        return int(self.mmsi[i]), GaussianBelief.from_arrays(filt.mean[i], filt.cov[i],
-                                                             filt.time[i])
 
 
 class TrackTable:
@@ -51,9 +20,10 @@ class TrackTable:
     Row i of the stacked filter ``filt`` and of ``mmsi``, ``last_seen``,
     ``horizon`` and ``live`` is one track; ``rows`` maps an MMSI to its row,
     and a freed row is reused. ``ingest`` queues a report, and the queue is
-    fused at the next ``tick`` or read of ``tracks``. Callers serialize
-    ``ingest``/``tick``; tracks are mutually independent, and one whose
-    belief goes non-finite or polar is retired and counted.
+    fused at the next ``tick`` or ``fuse()``. Callers serialize ``ingest``,
+    ``tick`` and ``fuse``; tracks are mutually independent, and one whose
+    belief goes non-finite or polar is retired and counted before a filter
+    step takes it, so rows are freed only inside ``tick`` and ``fuse``.
     """
 
     def __init__(self, filter_rate_hz: float = 1.0,
@@ -73,17 +43,6 @@ class TrackTable:
         self.stale_drops = 0
         self.skipped_reports = 0
         self.retired = 0
-
-    @property
-    def tracks(self) -> dict[int, TrackSnapshot]:
-        """A snapshot of every live track by MMSI, taken after the queued
-        reports are fused."""
-        self._fuse()
-        filt = self.filt
-        return {mmsi: TrackSnapshot(
-                    GaussianBelief.from_arrays(filt.mean[row], filt.cov[row], filt.time[row]),
-                    float(self.last_seen[row]))
-                for mmsi, row in self.rows.items()}
 
     def _new_row(self) -> int:
         if not self._free:  # double the capacity
@@ -106,9 +65,11 @@ class TrackTable:
         self._free.extend(rows)
 
     def _retire_unhealthy(self, rows: np.ndarray) -> np.ndarray:
-        """Retire the rows whose belief a filter step cannot take; returns
-        which of ``rows`` remain."""
-        ok = _healthy(self.filt.mean[rows], self.filt.cov[rows])
+        """Retire the rows whose belief a filter step cannot take (not finite,
+        or at a pole); returns which of ``rows`` remain."""
+        mean, cov = self.filt.mean[rows], self.filt.cov[rows]
+        ok = (np.isfinite(mean).all(-1) & np.isfinite(cov).all((-2, -1))
+              & (np.abs(mean[:, 1]) < 90.0))
         if not ok.all():
             self._drop(rows[~ok].tolist())
             self.retired += int((~ok).sum())
@@ -139,11 +100,6 @@ class TrackTable:
         elif t < self.horizon[row] - OUT_OF_ORDER_TOLERANCE_S:
             self.stale_drops += 1
             return "dropped_stale"
-        elif not _healthy(self.filt.mean[row], self.filt.cov[row]):
-            self._drop([row])
-            self.retired += 1
-            self._queue = [entry for entry in self._queue if entry[0] != row]
-            return "retired"
         else:
             self.horizon[row] = max(self.horizon[row], t)
             kind = "updated"
@@ -171,7 +127,7 @@ class TrackTable:
             filt.time[rows[landed]] = target[landed]
             ok = self._retire_unhealthy(rows)
 
-    def _fuse(self) -> None:
+    def fuse(self) -> None:
         """Fuse the queued reports in arrival order per track: for the k-th
         queued report of every track at once, predict each track to its
         report time, then take one stacked update."""
@@ -197,18 +153,15 @@ class TrackTable:
             self.filt.update(Measurement(z, ~np.isnan(z) & self.live[:, None]))
             self._retire_unhealthy(rows[self.live[rows]])
 
-    def tick(self, t: float) -> TickRows:
+    def tick(self, t: float) -> np.ndarray:
         """Fuse the queued reports, drop stale tracks, and predict every live
         track to time t; all tracks short of t take their next fixed-rate step
-        in one stacked call."""
-        self._fuse()
+        in one stacked call. Returns the live rows in MMSI order."""
+        self.fuse()
         live = np.flatnonzero(self.live)
         stale = t - self.last_seen[live] > self.stale_timeout
         self._drop(live[stale].tolist())
         self._advance(live[~stale], np.full(np.count_nonzero(~stale), float(t)))
         np.maximum(self.horizon, self.filt.time, out=self.horizon)
         rows = np.flatnonzero(self.live)
-        rows = rows[np.argsort(self.mmsi[rows])]
-        filt = self.filt
-        return TickRows(self.mmsi[rows],
-                        GeodeticUkf(filt.mean[rows], filt.cov[rows], filt.time[rows]))
+        return rows[np.argsort(self.mmsi[rows])]

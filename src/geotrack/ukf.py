@@ -38,7 +38,7 @@ class FactorizationFailure(RuntimeError):
 
 def wrap_residual(predicted_cog: float, measured_cog: float) -> float:
     """Smallest signed angular difference measured - predicted, in [-180, 180)."""
-    return (measured_cog - predicted_cog + 180.0) % 360.0 - 180.0
+    return normalize_lon(measured_cog - predicted_cog)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _weighted_mean(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     mean = weights @ points
     # longitude: average offsets relative to the central point to stay
     # well-defined across the dateline seam
-    dlon = (points[..., 0] - points[..., :1, 0] + 180.0) % 360.0 - 180.0
+    dlon = normalize_lon(points[..., 0] - points[..., :1, 0])
     mean[..., 0] = normalize_lon(points[..., 0, 0] + _weighted_sum(weights, dlon))
     cog = np.radians(points[..., 3])
     mean[..., 3] = np.degrees(np.arctan2(_weighted_sum(weights, np.sin(cog)),
@@ -153,7 +153,7 @@ def _weighted_mean(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _residuals(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
     res = points - mean[..., None, :]
-    res[..., ::3] = (res[..., ::3] + 180.0) % 360.0 - 180.0  # lon and COG
+    res[..., ::3] = normalize_lon(res[..., ::3])  # lon and COG
     return res
 
 
@@ -185,9 +185,7 @@ def update_arrays(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, mask: np.nda
     y = z - mean
     y[..., ::3] = wrap_residual(0.0, y[..., ::3])  # lon and COG
     dx, p_post = masked_joseph_update(symmetrize(cov), y, mask, r)
-    x_post = mean + dx
-    x_post[..., 3] %= 360.0
-    return normalize_state(x_post), p_post
+    return normalize_state(mean + dx), p_post
 
 
 def update(prior: GaussianBelief, meas: Measurement, r: np.ndarray) -> GaussianBelief:

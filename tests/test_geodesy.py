@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from geotrack.cli import sphere_error_rows
 from geotrack.geodesy import (
@@ -21,6 +21,7 @@ from geotrack.geodesy import (
     vincenty_direct,
     vincenty_direct_arrays,
     vincenty_inverse,
+    wrap_bearing,
 )
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -30,6 +31,7 @@ ONE_DEGREE_ARC = R * math.pi / 180.0
 lons = st.floats(-180.0, 179.999999)
 lats = st.floats(-89.0, 89.0)
 bearings = st.floats(0.0, 359.999999)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def meters_between(p1: GeoPoint, p2: GeoPoint) -> float:
@@ -51,6 +53,31 @@ class TestGeoPoint:
         assert normalize_lon(180.0) == -180.0
         assert normalize_lon(-540.0) == -180.0
         assert normalize_lon(359.0) == -1.0
+
+
+# a tiny negative angle rounds to the top of the range under one `% 360.0`
+SEAM = [-1e-14, -1e-300, -180.00000000000003]
+
+
+class TestAngleWraps:
+    @given(finite)
+    @example(SEAM[0])
+    @example(SEAM[2])
+    def test_scalar_in_half_open_range(self, x):
+        assert 0.0 <= wrap_bearing(x) < 360.0
+        assert -180.0 <= normalize_lon(x) < 180.0
+
+    @given(st.lists(finite, min_size=1, max_size=16))
+    @example(SEAM)
+    def test_array_in_half_open_range(self, xs):
+        bearing, lon = wrap_bearing(np.array(xs)), normalize_lon(np.array(xs))
+        assert ((0.0 <= bearing) & (bearing < 360.0)).all()
+        assert ((-180.0 <= lon) & (lon < 180.0)).all()
+
+    @given(st.floats(-1e9, 1e9))
+    def test_wraps_keep_the_angle(self, x):
+        for wrapped in (wrap_bearing(x), normalize_lon(x)):
+            assert math.remainder(wrapped - x, 360.0) == pytest.approx(0.0, abs=1e-6)
 
 
 class TestPropagateSphere:

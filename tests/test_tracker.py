@@ -1,4 +1,5 @@
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,20 @@ def measurement(r):
     return Measurement.from_fields(lon=r.lon, lat=r.lat, sog=r.sog, cog=r.cog)
 
 
+class Track(NamedTuple):
+    mean: np.ndarray  # lon, lat, sog, cog
+    cov: np.ndarray
+    time: float       # belief time
+    last_seen: float  # time of the last accepted report
+
+
+def track(table, mmsi):
+    """A copy of track ``mmsi`` read from the table's arrays."""
+    row = table.rows[mmsi]
+    return Track(table.filt.mean[row].copy(), table.filt.cov[row].copy(),
+                 float(table.filt.time[row]), float(table.last_seen[row]))
+
+
 def walk(mmsi, lon0, lat0, n, dt=10.0, dlat=1e-4):
     """A simple northbound report schedule for one vessel."""
     return [(k * dt, report(mmsi, lon0, lat0 + k * dlat, sog=1.1, cog=0.0))
@@ -29,23 +44,26 @@ class TestLifecycle:
     def test_first_report_creates_track(self):
         table = TrackTable()
         assert table.ingest(report(111000111, -71.0, 42.3), 0.0) == "created"
-        assert 111000111 in table.tracks
-        b = table.tracks[111000111].belief
-        assert b.mean.lon == pytest.approx(-71.0)
-        assert b.mean.lat == pytest.approx(42.3)
+        table.fuse()
+        assert list(table.rows) == [111000111]
+        lon, lat, _, _ = track(table, 111000111).mean
+        assert lon == pytest.approx(-71.0)
+        assert lat == pytest.approx(42.3)
 
     def test_positionless_first_report_skipped(self):
         table = TrackTable()
         r = report(222000222, None, None, sog=3.0, cog=10.0)
         assert table.ingest(r, 0.0) == "skipped"
-        assert table.tracks == {}
+        table.fuse()
+        assert table.rows == {} and not table.live.any()
         assert table.skipped_reports == 1
 
     def test_subsequent_report_updates(self):
         table = TrackTable()
         table.ingest(report(1, -71.0, 42.3), 0.0)
         assert table.ingest(report(1, -71.0, 42.3005), 6.0) == "updated"
-        assert table.tracks[1].last_seen == 6.0
+        table.fuse()
+        assert track(table, 1).last_seen == 6.0
 
     def test_stale_track_retired(self):
         table = TrackTable()
@@ -53,9 +71,8 @@ class TestLifecycle:
         table.ingest(report(2, -70.9, 42.4), 0.0)
         table.ingest(report(2, -70.9, 42.4001), 170.0)
         out = table.tick(0.1 + DEFAULT_STALE_TIMEOUT_S)
-        mmsis = [m for m, _ in out]
-        assert mmsis == [2]
-        assert 1 not in table.tracks
+        assert table.mmsi[out].tolist() == [2]
+        assert 1 not in table.rows
 
     def test_out_of_order_report_dropped(self):
         table = TrackTable()
@@ -91,11 +108,11 @@ class TestIsolationOracle:
             mmsi = reports[0][1].mmsi
             # advance both copies to a common time before comparing
             t_end = max(reports[-1][0], merged[-1][0])
-            joint_belief = dict(joint.tick(t_end))[mmsi]
-            solo_belief = dict(solo.tick(t_end))[mmsi]
-            assert np.allclose(joint_belief.mean.as_vector(),
-                               solo_belief.mean.as_vector(), atol=1e-12)
-            assert np.allclose(joint_belief.cov, solo_belief.cov, atol=1e-12)
+            joint.tick(t_end)
+            solo.tick(t_end)
+            joint_track, solo_track = track(joint, mmsi), track(solo, mmsi)
+            assert np.allclose(joint_track.mean, solo_track.mean, atol=1e-12)
+            assert np.allclose(joint_track.cov, solo_track.cov, atol=1e-12)
 
     def test_deterministic_replay(self):
         stream = sorted(walk(1, -71.0, 42.3, 8) + walk(2, -70.9, 42.2, 8),
@@ -105,22 +122,21 @@ class TestIsolationOracle:
             table = TrackTable()
             for t, r in stream:
                 table.ingest(r, t)
-            return table.tick(stream[-1][0])
+            rows = table.tick(stream[-1][0])
+            return table.mmsi[rows], table.filt.mean[rows], table.filt.cov[rows]
 
-        out1, out2 = run(), run()
-        for (m1, b1), (m2, b2) in zip(out1, out2):
-            assert m1 == m2
-            assert np.array_equal(b1.mean.as_vector(), b2.mean.as_vector())
-            assert np.array_equal(b1.cov, b2.cov)
+        for a, b in zip(run(), run()):
+            assert np.array_equal(a, b)
 
 
 class TestPrediction:
     def test_tick_grows_uncertainty(self):
         table = TrackTable()
         table.ingest(report(1, -71.0, 42.3), 0.0)
-        tr0 = np.trace(table.tracks[1].belief.cov)
+        table.fuse()
+        tr0 = np.trace(track(table, 1).cov)
         table.tick(30.0)
-        assert np.trace(table.tracks[1].belief.cov) > tr0
+        assert np.trace(track(table, 1).cov) > tr0
 
     def test_fixed_rate_stepping(self):
         # a 10.5 s gap at 1 Hz is 10 full steps plus one partial step,
@@ -128,7 +144,7 @@ class TestPrediction:
         table = TrackTable(filter_rate_hz=1.0)
         table.ingest(report(1, -71.0, 42.3), 0.0)
         table.tick(10.5)
-        assert table.tracks[1].belief.timestamp == pytest.approx(10.5, abs=1e-9)
+        assert track(table, 1).time == pytest.approx(10.5, abs=1e-9)
 
     def test_speed_only_report_leaves_course(self):
         # a report carrying only SOG (zero residual) must not move the course
@@ -138,8 +154,10 @@ class TestPrediction:
                                    sog=5.0, cog=None, heading=None,
                                    timestamp_sec=None)
         table.ingest(partial, 6.0)
-        assert table.tracks[1].belief.mean.cog == pytest.approx(77.0, abs=0.5)
-        assert table.tracks[1].belief.mean.sog == pytest.approx(5.0, abs=0.1)
+        table.fuse()
+        _, _, sog, cog = track(table, 1).mean
+        assert cog == pytest.approx(77.0, abs=0.5)
+        assert sog == pytest.approx(5.0, abs=0.1)
 
 
 class TestMeasurementMapping:
@@ -153,7 +171,7 @@ class TestMeasurementMapping:
         table = TrackTable()
         table.ingest(first, 0.0)
         table.ingest(polar, 1.0)
-        out = dict(table.tick(1.0))
+        table.tick(1.0)
 
         solo = GeodeticUkf.from_first_measurement(
             Measurement(np.array([-71.0, 42.3, 0.0, 0.0]), [True, True, False, False]),
@@ -161,7 +179,7 @@ class TestMeasurementMapping:
         solo.predict(1.0)
         solo.update(Measurement(np.array([0.0, 0.0, 4.0, 0.0]),
                                 [False, False, True, False]))
-        assert_same_belief(out[1], solo)
+        assert_same_belief(table, 1, solo)
 
     def test_ingest_leaves_the_report_unchanged(self):
         table = TrackTable()
@@ -190,7 +208,7 @@ class TestStackedTick:
         stacked = ukf.predict_arrays
         monkeypatch.setattr(ukf, "predict_arrays",
                             lambda mean, *a: calls.append(len(mean)) or stacked(mean, *a))
-        out = dict(table.tick(5.5))
+        table.tick(5.5)
         # six steps from 0 and from 0.4, three from 2.7: one call per step
         # index, each over every track still short of 5.5
         assert calls == [3, 3, 3, 2, 2, 2]
@@ -204,10 +222,7 @@ class TestStackedTick:
                 dt = min(1.0, 5.5 - t)
                 solo.predict(dt)
                 t += dt
-            assert out[mmsi].timestamp == solo.belief.timestamp
-            assert np.array_equal(out[mmsi].mean.as_vector(),
-                                  solo.belief.mean.as_vector())
-            assert np.array_equal(out[mmsi].cov, solo.belief.cov)
+            assert_same_belief(table, mmsi, solo)
 
 
 class TestFailureIsolation:
@@ -217,30 +232,56 @@ class TestFailureIsolation:
         table.ingest(report(2, -70.9, 42.4), 0.0)
         table.filt.cov[table.rows[2]] = np.nan
         out = table.tick(3.0)
-        assert [m for m, _ in out] == [1]
+        assert table.mmsi[out].tolist() == [1]
         assert table.retired == 1
-        assert np.all(np.isfinite(out[0][1].cov))
+        assert np.all(np.isfinite(table.filt.cov[out]))
 
-    def test_nan_covariance_is_retired_by_ingest(self):
-        table = TrackTable()
-        table.ingest(report(1, -71.0, 42.3), 0.0)
+    def test_poisoned_track_is_retired_at_the_next_tick(self):
+        """A report to a poisoned track is queued like any other; the next
+        tick retires the track before any filter step, counts it once, and
+        leaves the other tracks and the row's next owner untouched."""
+        table, alone = TrackTable(), TrackTable()  # alone never sees vessel 2
+        for tab in (table, alone):
+            tab.ingest(report(1, -71.0, 42.3), 0.0)
         table.ingest(report(2, -70.9, 42.4), 0.0)
-        table.filt.cov[table.rows[2]] = np.nan
-        assert table.ingest(report(2, -70.9, 42.401), 5.0) == "retired"
-        assert table.ingest(report(1, -71.0, 42.301), 5.0) == "updated"
-        assert list(table.tracks) == [1]
+        row = table.rows[2]
+        table.filt.cov[row] = np.nan
+        assert table.ingest(report(2, -70.9, 42.401), 5.0) == "updated"
+        for t in (5.0, 5.5):
+            for tab in (table, alone):
+                assert tab.ingest(report(1, -71.0, 42.3 + 1e-4 * t), t) == "updated"
+        assert table.retired == 0
+        for t in (6.0, 7.0):
+            out = table.tick(t)
+            alone.tick(t)
+            assert table.mmsi[out].tolist() == [1]
+            assert table.retired == 1
+        assert 2 not in table.rows
+
+        assert table.ingest(report(3, -70.8, 42.5), 7.5) == "created"
+        assert table.rows[3] == row  # the freed row is reused
+        newborn = TrackTable()
+        newborn.ingest(report(3, -70.8, 42.5), 7.5)
+        out = table.tick(9.0)
+        alone.tick(9.0)
+        newborn.tick(9.0)
+        assert table.mmsi[out].tolist() == [1, 3]
         assert table.retired == 1
+        for mmsi, solo in [(1, alone), (3, newborn)]:
+            for a, b in zip(track(table, mmsi), track(solo, mmsi)):
+                assert np.array_equal(a, b)
 
 
 def solo_filter(t0, r):
     return GeodeticUkf.from_first_measurement(measurement(r), timestamp=t0)
 
 
-def assert_same_belief(belief, filt):
-    """A table's belief equals a solo filter's, bit for bit."""
-    assert belief.timestamp == float(filt.time)
-    assert np.array_equal(belief.mean.as_vector(), filt.belief.mean.as_vector())
-    assert np.array_equal(belief.cov, filt.cov)
+def assert_same_belief(table, mmsi, filt):
+    """Track ``mmsi`` of a table equals a solo filter's belief, bit for bit."""
+    row = table.rows[mmsi]
+    assert table.filt.time[row] == filt.time
+    assert np.array_equal(table.filt.mean[row], filt.mean)
+    assert np.array_equal(table.filt.cov[row], filt.cov)
 
 
 class TestQueuedFusion:
@@ -252,14 +293,14 @@ class TestQueuedFusion:
                    for t in (0.0, 2.0, 4.0, 6.0)]
         table = TrackTable(filter_rate_hz=0.1)
         assert [table.ingest(r, t) for t, r in reports] == ["created"] + ["updated"] * 3
-        out = dict(table.tick(10.0))
+        table.tick(10.0)
 
         solo = solo_filter(*reports[0])
         for t, r in reports[1:]:
             solo.predict(2.0)
             solo.update(measurement(r))
         solo.predict(4.0)
-        assert_same_belief(out[7], solo)
+        assert_same_belief(table, 7, solo)
 
     def test_same_time_on_tick_and_late_reports_in_one_interval(self):
         births = {1: (0.0, -71.0, 42.3), 2: (0.25, -70.9, 42.4), 3: (0.5, -70.8, 42.5)}
@@ -274,7 +315,7 @@ class TestQueuedFusion:
         for t, r in sorted((item for items in later.values() for item in items),
                            key=lambda item: item[0]):
             assert table.ingest(r, t) == "updated"
-        out = dict(table.tick(5.0))
+        table.tick(5.0)
 
         for mmsi, (t0, lon, lat) in births.items():
             solo = solo_filter(t0, report(mmsi, lon, lat))
@@ -286,7 +327,7 @@ class TestQueuedFusion:
                     t += dt
                 if r is not None:
                     solo.update(measurement(r))
-            assert_same_belief(out[mmsi], solo)
+            assert_same_belief(table, mmsi, solo)
 
     def test_failed_queued_update_retires_the_track(self):
         table = TrackTable()
@@ -296,11 +337,11 @@ class TestQueuedFusion:
         assert table.ingest(report(2, -70.9, 42.401), 1.5) == "updated"
         assert table.ingest(report(2, -70.9, 42.4015), 1.8) == "updated"
         table.filt.cov[table.rows[2]] = np.nan  # the queued updates cannot be fused
-        assert [m for m, _ in table.tick(2.0)] == [1]
+        assert table.mmsi[table.tick(2.0)].tolist() == [1]
         assert table.retired == 1
-        assert 2 not in table.tracks
+        assert 2 not in table.rows
         assert table.ingest(report(2, -70.9, 42.402), 2.5) == "created"
-        assert [m for m, _ in table.tick(3.0)] == [1, 2]
+        assert table.mmsi[table.tick(3.0)].tolist() == [1, 2]
         assert table.retired == 1
 
     def test_stale_drop_is_judged_after_the_queued_reports(self):
@@ -312,5 +353,6 @@ class TestQueuedFusion:
         assert table.ingest(report(1, -71.0, 42.3005), 8.5) == "dropped_stale"
         assert table.ingest(report(1, -71.0, 42.3008), 9.5) == "updated"
         assert table.stale_drops == 1
-        assert table.tracks[1].last_seen == 9.5
-        assert table.tracks[1].belief.timestamp == 10.0
+        table.fuse()
+        assert track(table, 1).last_seen == 9.5
+        assert track(table, 1).time == 10.0

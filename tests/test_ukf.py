@@ -42,6 +42,9 @@ class TestWrapResidual:
         assert wrap_residual(180.0, 180.0) == 0.0
         assert wrap_residual(350.0, 10.0) == 20.0
 
+    def test_state_course_below_360(self):
+        assert GeodeticState(0.0, 0.0, 1.0, -1e-20).cog == 0.0
+
     @given(st.floats(0.0, 359.999), st.floats(0.0, 359.999))
     def test_range_and_consistency(self, a, b):
         r = wrap_residual(a, b)

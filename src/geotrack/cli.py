@@ -18,7 +18,7 @@ import numpy as np
 from . import ais, geodesy, noise, sim
 from ._linalg import SingularInnovation
 from .ais import DynamicAisReport, StreamCounters
-from .tracker import TrackTable
+from .tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable
 from .ukf import FactorizationFailure
 
 EXIT_OK = 0
@@ -136,16 +136,19 @@ _SYNTHETIC_INTERVAL_S = {18: 30.0, 1: 10.0, 2: 10.0, 3: 10.0}
 
 def _timed_reports(lines, counters: StreamCounters):
     """Yield (t, report) pairs as the lines arrive; time comes from a leading
-    sidecar column when present, else from per-MMSI synthetic arrival at
-    class-typical rates."""
+    sidecar column when present, else from a per-MMSI synthetic clock that
+    advances by a class-typical interval and never runs behind the latest
+    time already given out."""
     synthetic_clock: dict[int, float] = {}
+    latest = -math.inf
     for t, report in ais.decode_lines(lines, counters):
         if not isinstance(report, DynamicAisReport):
             continue
         if t is None:
             interval = _SYNTHETIC_INTERVAL_S.get(report.msg_type, 10.0)
-            t = synthetic_clock.get(report.mmsi, -interval) + interval
+            t = max(synthetic_clock.get(report.mmsi, -interval) + interval, latest)
         synthetic_clock[report.mmsi] = t
+        latest = max(latest, t)
         yield t, report
 
 
@@ -176,7 +179,7 @@ def cmd_track(args) -> int:
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} tracks={len(table.rows)} "
           f"stale_drops={table.stale_drops} skipped={table.skipped_reports} "
-          f"retired={table.retired}", file=sys.stderr)
+          f"retired={table.retired} timed_out={table.timed_out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -195,9 +198,8 @@ def cmd_simulate(args) -> int:
         run = sim.run_comparison(scenario)
 
     truth, ukf, ekf = run.truth, run.ukf, run.ekf
-    rows = np.column_stack([truth.t, truth.lon, truth.lat, truth.sog, truth.cog,
-                            ukf.est, ekf.est, ukf.err_pos_m, ekf.err_pos_m,
-                            ukf.sigma3_m])
+    rows = np.column_stack([truth.t, truth.state, ukf.est, ekf.est, ukf.err_pos_m,
+                            ekf.err_pos_m, ukf.sigma3_m])
     with _open_output(args.output) as dst:
         writer = csv.writer(dst, lineterminator="\n")
         writer.writerow(["t", "truth_lon", "truth_lat", "truth_sog", "truth_cog",
@@ -299,7 +301,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--rate", type=_positive(float, MAX_RATE_HZ), default=1.0,
                    help=f"filter tick rate, Hz (at most {MAX_RATE_HZ:g})")
-    p.add_argument("--stale-timeout", type=_positive(float), default=180.0)
+    p.add_argument("--stale-timeout", type=_positive(float),
+                   default=DEFAULT_STALE_TIMEOUT_S)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("simulate", help="truth + noisy AIS simulation with filters")

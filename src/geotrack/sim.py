@@ -57,15 +57,14 @@ class Scenario:
     meas_noise: tuple[float, float, float, float] = (
         MEAS_STD_LON_DEG, MEAS_STD_LAT_DEG, MEAS_STD_SOG_MPS, MEAS_STD_COG_DEG)
     seed: int = 0
-    name: str = "scenario"
 
     def __post_init__(self):
         if not self.truth_rate_hz > 0:
             raise ValueError("truth_rate_hz must be positive")
-        # reports are sampled on the truth grid, every ais_interval / dt steps
+        # reports are sampled on the truth grid, every report_stride steps
         steps = self.ais_interval * self.truth_rate_hz
-        if not (math.isfinite(steps) and round(steps) >= 1
-                and abs(steps - round(steps)) <= 1e-9):
+        if not (math.isfinite(steps) and self.report_stride >= 1
+                and abs(steps - self.report_stride) <= 1e-9):
             raise ValueError(f"ais_interval must be a positive whole number of truth steps "
                              f"of {1.0 / self.truth_rate_hz:g} s, got {self.ais_interval:g}")
         # the filters start from the report at step 0
@@ -87,20 +86,19 @@ class Scenario:
         """Truth steps at t = 0, dt, ..., duration - dt (dt = 1/truth_rate_hz)."""
         return int(math.floor(self.duration * self.truth_rate_hz + 1e-9))
 
+    @property
+    def report_stride(self) -> int:
+        """Truth steps from one AIS report to the next."""
+        return round(self.ais_interval * self.truth_rate_hz)
+
 
 @dataclass
 class TruthTrajectory:
     t: np.ndarray
-    lon: np.ndarray
-    lat: np.ndarray
-    sog: np.ndarray
-    cog: np.ndarray
+    state: np.ndarray  # (n, 4) lon, lat, sog, cog
 
     def __len__(self):
         return len(self.t)
-
-    def state_vector(self, i: int) -> np.ndarray:
-        return np.array([self.lon[i], self.lat[i], self.sog[i], self.cog[i]])
 
 
 def generate_truth(scenario: Scenario) -> TruthTrajectory:
@@ -116,10 +114,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
     course = scenario.initial_cog % 360.0
 
     t = np.arange(n) * dt
-    lon = np.empty(n)
-    lat = np.empty(n)
-    sog = np.empty(n)
-    cog = np.empty(n)
+    state = np.empty((n, 4))
 
     for k in range(n):
         seg = segments[seg_idx]
@@ -128,9 +123,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
         speed = max(0.0, seg.speed + jitter_s)
         course_used = (course + jitter_c) % 360.0
 
-        lon[k], lat[k] = pos.lon, pos.lat
-        sog[k] = speed
-        cog[k] = course_used
+        state[k] = pos.lon, pos.lat, speed, course_used
 
         # advance one output step, splitting at segment boundaries
         remaining = dt
@@ -156,25 +149,18 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
             if seg_time_left <= 1e-12 and seg_idx + 1 < len(segments):
                 seg_idx += 1
                 seg_time_left = segments[seg_idx].duration
-    return TruthTrajectory(t, lon, lat, sog, cog)
+    return TruthTrajectory(t, state)
 
 
-def sample_ais(truth: TruthTrajectory, scenario: Scenario
-               ) -> list[tuple[float, Measurement]]:
-    """Noisy AIS reports at every ais_interval multiple of the truth timeline."""
+def sample_ais(truth: TruthTrajectory, scenario: Scenario) -> np.ndarray:
+    """Noisy AIS reports of truth steps 0, stride, 2 stride, ...: an (m, 4)
+    array of lon, lat, sog, cog (stride = ``scenario.report_stride``)."""
     rng = np.random.default_rng(scenario.seed + 1)
-    dt = 1.0 / scenario.truth_rate_hz
-    stride = int(round(scenario.ais_interval / dt))
-    stds = np.asarray(scenario.meas_noise, dtype=float)
-    out = []
-    for i in range(0, len(truth), stride):
-        z = truth.state_vector(i)
-        if stds.any():
-            z = z + rng.normal(0.0, stds)
-        z[2] = max(0.0, z[2])
-        z[3] %= 360.0
-        out.append((float(truth.t[i]), Measurement(z, np.ones(4, dtype=bool))))
-    return out
+    z = truth.state[::scenario.report_stride]
+    z = z + rng.normal(0.0, scenario.meas_noise, z.shape)
+    z[:, 2] = np.maximum(0.0, z[:, 2])
+    z[:, 3] %= 360.0
+    return z
 
 
 @dataclass
@@ -185,8 +171,6 @@ class RunMetrics:
     rmse_cog: float
     rmse_pos_m: float
     frac_within_3sigma: float
-    max_cov_trace: float
-    median_cov_trace: float
 
 
 @dataclass
@@ -209,7 +193,7 @@ def _position_error_m(lon1, lat1, lon2, lat2) -> float:
 
 
 def _metrics(truth: TruthTrajectory, record: FilterRunRecord) -> RunMetrics:
-    res = record.est - np.column_stack([truth.lon, truth.lat, truth.sog, truth.cog])
+    res = record.est - truth.state
     res[:, 3] = normalize_lon(res[:, 3])
     rmse = np.sqrt(np.mean(res ** 2, axis=0))
     return RunMetrics(
@@ -217,14 +201,11 @@ def _metrics(truth: TruthTrajectory, record: FilterRunRecord) -> RunMetrics:
         rmse_sog=float(rmse[2]), rmse_cog=float(rmse[3]),
         rmse_pos_m=float(np.sqrt(np.mean(record.err_pos_m ** 2))),
         frac_within_3sigma=float(np.mean(record.err_pos_m < record.sigma3_m)),
-        max_cov_trace=float(np.max(record.cov_trace)),
-        median_cov_trace=float(np.median(record.cov_trace)),
     )
 
 
 @dataclass
 class ComparisonRun:
-    scenario: Scenario
     truth: TruthTrajectory
     ukf: FilterRunRecord
     ekf: FilterRunRecord
@@ -235,7 +216,7 @@ class ComparisonRun:
 def _score(truth: TruthTrajectory, est: np.ndarray, cov: np.ndarray,
            sigma3_m: np.ndarray) -> FilterRunRecord:
     err = np.array([_position_error_m(lon, lat, t_lon, t_lat) for lon, lat, t_lon, t_lat
-                    in zip(est[:, 0], est[:, 1], truth.lon, truth.lat)])
+                    in zip(est[:, 0], est[:, 1], truth.state[:, 0], truth.state[:, 1])])
     return FilterRunRecord(est, err, sigma3_m, np.trace(cov, axis1=1, axis2=2))
 
 
@@ -243,11 +224,10 @@ def run_comparison(scenario: Scenario) -> ComparisonRun:
     """Run the geodetic and planar filters on one shared measurement stream,
     stepping both at the truth rate from the first report at t = 0."""
     truth = generate_truth(scenario)
-    # reports keyed by truth index
-    measurements = {round(tm * scenario.truth_rate_hz): meas
-                    for tm, meas in sample_ais(truth, scenario)}
-    ukf = GeodeticUkf.from_first_measurement(measurements[0])
-    ekf = PlanarEkf.from_first_measurement(measurements[0], TangentPlane(scenario.start))
+    reports, stride = sample_ais(truth, scenario), scenario.report_stride
+    first = Measurement.full(*reports[0])
+    ukf = GeodeticUkf.from_first_measurement(first)
+    ekf = PlanarEkf.from_first_measurement(first, TangentPlane(scenario.start))
 
     dt = 1.0 / scenario.truth_rate_hz
     n = len(truth)
@@ -257,8 +237,8 @@ def run_comparison(scenario: Scenario) -> ComparisonRun:
         if i:
             ukf.predict(dt)
             ekf.predict(dt)
-            meas = measurements.get(i)
-            if meas is not None:
+            if i % stride == 0:
+                meas = Measurement.full(*reports[i // stride])
                 ukf.update(meas)
                 ekf.update(meas)
         ukf_est[i], ukf_cov[i] = ukf.mean, ukf.cov
@@ -274,7 +254,7 @@ def run_comparison(scenario: Scenario) -> ComparisonRun:
                                + np.maximum(0.0, ekf_cov[:, 1, 1]))
     rec_ukf = _score(truth, ukf_est, ukf_cov, ukf_sigma3)
     rec_ekf = _score(truth, ekf_est, ekf_cov, ekf_sigma3)
-    return ComparisonRun(scenario, truth, rec_ukf, rec_ekf,
+    return ComparisonRun(truth, rec_ukf, rec_ekf,
                          _metrics(truth, rec_ukf), _metrics(truth, rec_ekf))
 
 
@@ -295,7 +275,7 @@ def boston_departure_scenario(seed: int = 0) -> Scenario:
         TrajectorySegment(STRAIGHT, 120.0, speed),
     )
     return Scenario(start=GeoPoint(-71.0237, 42.3469), initial_cog=90.0,
-                    segments=segments, seed=seed, name="boston-departure")
+                    segments=segments, seed=seed)
 
 
 def lawnmower_scenario(ais_interval: float, n_legs: int = 10, seed: int = 0) -> Scenario:
@@ -312,8 +292,7 @@ def lawnmower_scenario(ais_interval: float, n_legs: int = 10, seed: int = 0) -> 
         segments.append(TrajectorySegment(TURN, turn_time, speed,
                                           turn_rate=sign * turn_rate))
     return Scenario(start=GeoPoint(-70.9, 42.3), initial_cog=0.0,
-                    segments=tuple(segments), ais_interval=ais_interval,
-                    seed=seed, name=f"lawnmower-{int(ais_interval)}s")
+                    segments=tuple(segments), ais_interval=ais_interval, seed=seed)
 
 
 def stability_sweep(intervals=range(2, 69), n_legs: int = 10
@@ -350,7 +329,7 @@ def _number(text: str) -> float:
     return value
 
 
-def parse_scenario(text: str, name: str = "scenario") -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     """Scenario from its file text; every fault in the text is a ValueError."""
     fields = {"start": [None, None], "meas_noise": list(Scenario.meas_noise)}
     segments: list[TrajectorySegment] = []
@@ -384,12 +363,12 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise ValueError(f"scenario has no {' or '.join(missing)}")
     return Scenario(**dict(fields, start=GeoPoint(*fields["start"]),
                            meas_noise=tuple(fields["meas_noise"])),
-                    segments=tuple(segments), name=name)
+                    segments=tuple(segments))
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), name=path)
+        return parse_scenario(fh.read())
 
 
 def format_scenario(s: Scenario) -> str:

@@ -17,10 +17,10 @@ ON_TIME_S = 1e-9  # a belief this close to a target time has reached it
 class TrackTable:
     """Single-owner table of live tracks keyed by MMSI, held as arrays.
 
-    Row i of the stacked filter ``filt`` and of ``mmsi``, ``last_seen``,
-    ``horizon`` and ``live`` is one track; ``rows`` maps an MMSI to its row,
-    and a freed row is reused. ``ingest`` queues a report, and the queue is
-    fused at the next ``tick`` or ``fuse()``. Callers serialize ``ingest``,
+    Row i of the stacked filter ``filt`` and of ``mmsi``, ``last_seen`` (the
+    latest report time) and ``live`` is one track; ``rows`` maps an MMSI to
+    its row, and a freed row is reused. ``ingest`` queues a report, and the
+    queue is fused at the next ``tick`` or ``fuse()``. Callers serialize ``ingest``,
     ``tick`` and ``fuse``; tracks are mutually independent, and one whose
     belief goes non-finite or polar is retired and counted before a filter
     step takes it, so rows are freed only inside ``tick`` and ``fuse``.
@@ -35,14 +35,14 @@ class TrackTable:
         self.filt = GeodeticUkf(np.zeros((0, 4)), INITIAL_COV)
         self.mmsi = np.zeros(0, dtype=np.int64)
         self.last_seen = np.zeros(0)
-        self.horizon = np.zeros(0)  # belief time once the queued reports are fused
         self.live = np.zeros(0, dtype=bool)
         self.rows: dict[int, int] = {}
         self._free: list[int] = []
         self._queue: list[tuple] = []  # (row, t, lon, lat, sog, cog); None if missing
         self.stale_drops = 0
         self.skipped_reports = 0
-        self.retired = 0
+        self.retired = 0  # after a failed filter step
+        self.timed_out = 0  # silent for longer than stale_timeout
 
     def _new_row(self) -> int:
         if not self._free:  # double the capacity
@@ -54,7 +54,7 @@ class TrackTable:
             filt = self.filt
             filt.mean, filt.cov, filt.time = pad(filt.mean), pad(filt.cov), pad(filt.time)
             self.mmsi, self.last_seen = pad(self.mmsi), pad(self.last_seen)
-            self.horizon, self.live = pad(self.horizon), pad(self.live)
+            self.live = pad(self.live)
             self._free = list(range(n + grow - 1, n - 1, -1))
         return self._free.pop()
 
@@ -95,15 +95,16 @@ class TrackTable:
             prior = np.array([lon, lat, report.sog, report.cog], dtype=float)
             self.filt.mean[row] = normalize_state(np.where(np.isnan(prior), 0.0, prior))
             self.filt.cov[row] = INITIAL_COV
-            self.filt.time[row] = self.horizon[row] = t
+            self.filt.time[row] = self.last_seen[row] = t
             kind = "created"
-        elif t < self.horizon[row] - OUT_OF_ORDER_TOLERANCE_S:
-            self.stale_drops += 1
-            return "dropped_stale"
         else:
-            self.horizon[row] = max(self.horizon[row], t)
+            seen = self.last_seen[row]
+            # against the belief time once the queued reports are fused
+            if t < max(self.filt.time[row], seen) - OUT_OF_ORDER_TOLERANCE_S:
+                self.stale_drops += 1
+                return "dropped_stale"
+            self.last_seen[row] = max(seen, t)
             kind = "updated"
-        self.last_seen[row] = t
         self._queue.append((row, t, lon, lat, report.sog, report.cog))
         return kind
 
@@ -154,14 +155,15 @@ class TrackTable:
             self._retire_unhealthy(rows[self.live[rows]])
 
     def tick(self, t: float) -> np.ndarray:
-        """Fuse the queued reports, drop stale tracks, and predict every live
-        track to time t; all tracks short of t take their next fixed-rate step
-        in one stacked call. Returns the live rows in MMSI order."""
+        """Fuse the queued reports, drop and count the tracks silent for longer
+        than ``stale_timeout``, and predict every live track to time t; all
+        tracks short of t take their next fixed-rate step in one stacked call.
+        Returns the live rows in MMSI order."""
         self.fuse()
         live = np.flatnonzero(self.live)
         stale = t - self.last_seen[live] > self.stale_timeout
         self._drop(live[stale].tolist())
+        self.timed_out += int(np.count_nonzero(stale))
         self._advance(live[~stale], np.full(np.count_nonzero(~stale), float(t)))
-        np.maximum(self.horizon, self.filt.time, out=self.horizon)
         rows = np.flatnonzero(self.live)
         return rows[np.argsort(self.mmsi[rows])]

@@ -13,7 +13,7 @@ import make_ais_corpus as enc
 from geotrack.ais import DynamicAisReport, StaticAisReport, StreamCounters, decode_lines
 from geotrack.cli import (_DECODE_CSV_COLUMNS, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK,
                           EXIT_USAGE, _csv_row, _timed_reports, main, sphere_error_rows)
-from geotrack.tracker import TrackTable
+from geotrack.tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable
 from conftest import DATA_DIR
 
 CORPUS = os.path.join(DATA_DIR, "ais_corpus.nmea")
@@ -234,8 +234,8 @@ class TestTrack:
         code, _, err = run_cli(["track", "-i", CORPUS, "-o", str(tmp_path / "t.csv")],
                                capsys)
         assert code == EXIT_OK
-        assert err.splitlines()[-1] == ("lines=534 decoded=525 malformed=3 tracks=5 "
-                                        "stale_drops=29 skipped=12 retired=0")
+        assert err.splitlines()[-1] == ("lines=534 decoded=525 malformed=3 tracks=8 "
+                                        "stale_drops=0 skipped=0 retired=0 timed_out=5")
 
     def test_failed_track_is_retired_not_fatal(self, tmp_path, capsys, monkeypatch):
         ingest = TrackTable.ingest
@@ -295,19 +295,23 @@ class TestTrack:
         assert ticks
         assert all(abs(k - round(k)) <= 1e-6 for k in ticks)
 
-    @pytest.mark.parametrize("rate", [3, 7])
-    def test_rows_carry_their_tick_time(self, rate, tmp_path, capsys):
-        # a step that reaches a tick lands on it, so every row's t is the
-        # tick time k / rate itself, one string per tick
+    def test_rows_carry_their_tick_time(self, tmp_path, capsys):
+        # every row of tick k carries t = k / rate, one string per tick
+        rate = 7
+        stream = tmp_path / "off-grid.nmea"
+        stream.write_text("".join(self.timed_report(0.13 + 6.1 * j + offset, mmsi, 42.0)
+                                  for j in range(8)
+                                  for offset, mmsi in ((0.0, 366999784), (2.37, 211234560),
+                                                       (4.05, 244660000))))
         out = tmp_path / "tracks.csv"
-        code, _, _ = run_cli(["track", "-i", CORPUS, "-o", str(out),
+        code, _, _ = run_cli(["track", "-i", str(stream), "-o", str(out),
                               "--rate", str(rate)], capsys)
         assert code == EXIT_OK
         ticks = {}
         with open(out, newline="") as fh:
             for row in csv.DictReader(fh):
                 ticks.setdefault(round(float(row["t"]) * rate), set()).add(row["t"])
-        assert ticks
+        assert len(ticks) > 40 * rate
         assert {k: times for k, times in ticks.items() if times != {repr(k / rate)}} == {}
 
     def test_non_finite_sidecar_time_is_malformed(self, tmp_path, capsys):
@@ -320,7 +324,7 @@ class TestTrack:
         code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
         assert code == EXIT_OK
         assert err.splitlines() == ["lines=5 decoded=2 malformed=3 tracks=1 "
-                                    "stale_drops=0 skipped=0 retired=0"]
+                                    "stale_drops=0 skipped=0 retired=0 timed_out=0"]
 
     def test_sidecar_time_too_large_to_step_is_malformed(self, tmp_path, capsys):
         # epoch nanoseconds: there a 1 s tick step is below half the float
@@ -333,7 +337,7 @@ class TestTrack:
         assert code == EXIT_OK
         assert out.read_text() == "t,mmsi,lon_deg,lat_deg,sog_mps,cog_deg,p_trace\n"
         assert err.splitlines() == ["lines=2 decoded=0 malformed=2 tracks=0 "
-                                    "stale_drops=0 skipped=0 retired=0"]
+                                    "stale_drops=0 skipped=0 retired=0 timed_out=0"]
 
     def test_reports_stream_as_lines_arrive(self):
         pulled = []
@@ -355,6 +359,30 @@ class TestTrack:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows
+
+    def test_untimed_track_is_born_again_only_after_a_timeout(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # each vessel's synthetic clock keeps up with the busiest vessel's, so
+        # a track ends only when its vessel has been silent past the timeout
+        events = []
+        ingest = TrackTable.ingest
+
+        def recording_ingest(table, report, t):
+            kind = ingest(table, report, t)
+            events.append((report.mmsi, t, kind))
+            return kind
+
+        monkeypatch.setattr(TrackTable, "ingest", recording_ingest)
+        code, _, _ = run_cli(["track", "-i", CORPUS, "-o", str(tmp_path / "t.csv")], capsys)
+        assert code == EXIT_OK
+        assert [t for _, t, _ in events] == sorted(t for _, t, _ in events)
+        last_report, rebirths = {}, []
+        for mmsi, t, kind in events:
+            if kind == "created" and mmsi in last_report:
+                rebirths.append(t - last_report[mmsi])
+            if kind in ("created", "updated"):
+                last_report[mmsi] = t
+        assert all(gap > DEFAULT_STALE_TIMEOUT_S for gap in rebirths)
 
 
 class TestSimulate:

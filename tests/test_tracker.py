@@ -24,7 +24,7 @@ class Track(NamedTuple):
     mean: np.ndarray  # lon, lat, sog, cog
     cov: np.ndarray
     time: float       # belief time
-    last_seen: float  # time of the last accepted report
+    last_seen: float  # latest accepted report time
 
 
 def track(table, mmsi):
@@ -73,6 +73,29 @@ class TestLifecycle:
         out = table.tick(0.1 + DEFAULT_STALE_TIMEOUT_S)
         assert table.mmsi[out].tolist() == [2]
         assert 1 not in table.rows
+
+    def test_timed_out_tracks_are_counted(self):
+        table = TrackTable()
+        table.ingest(report(1, -71.0, 42.3), 0.0)
+        table.ingest(report(2, -70.9, 42.4), 100.0)
+        table.tick(DEFAULT_STALE_TIMEOUT_S)  # track 1 silent for exactly the timeout
+        assert table.timed_out == 0
+        table.tick(DEFAULT_STALE_TIMEOUT_S + 60.0)
+        assert table.timed_out == 1
+        assert table.ingest(report(1, -71.0, 42.3), 300.0) == "created"
+        table.tick(600.0)
+        assert table.timed_out == 3
+        assert table.retired == 0 and table.rows == {}
+
+    def test_late_report_does_not_shorten_the_track(self):
+        # last_seen is the latest report time, so a report inside the
+        # out-of-order tolerance cannot move the timeout earlier
+        table = TrackTable()
+        table.ingest(report(1, -71.0, 42.3), 100.0)
+        assert table.ingest(report(1, -71.0, 42.3001), 99.5) == "updated"
+        assert track(table, 1).last_seen == 100.0
+        assert table.mmsi[table.tick(100.0 + DEFAULT_STALE_TIMEOUT_S)].tolist() == [1]
+        assert table.timed_out == 0
 
     def test_out_of_order_report_dropped(self):
         table = TrackTable()
@@ -145,6 +168,20 @@ class TestPrediction:
         table.ingest(report(1, -71.0, 42.3), 0.0)
         table.tick(10.5)
         assert track(table, 1).time == pytest.approx(10.5, abs=1e-9)
+
+    @pytest.mark.parametrize("rate", [3, 7])
+    def test_every_tick_lands_on_its_time(self, rate):
+        # tracks born and updated off the tick grid reach each tick k / rate
+        # exactly, not at a sum of float steps near it
+        table = TrackTable(filter_rate_hz=rate)
+        for k in range(1, 40 * rate):
+            for mmsi, offset in ((1, 0.05), (2, 0.41), (3, 0.83)):
+                t = (k - 1 + offset) / rate
+                if k % (5 * mmsi) == 1:
+                    table.ingest(report(mmsi, -71.0 + mmsi / 10, 42.3 + k * 1e-5), t)
+            rows = table.tick(k / rate)
+            assert len(rows) == 3
+            assert (table.filt.time[rows] == k / rate).all()
 
     def test_speed_only_report_leaves_course(self):
         # a report carrying only SOG (zero residual) must not move the course
@@ -354,5 +391,5 @@ class TestQueuedFusion:
         assert table.ingest(report(1, -71.0, 42.3008), 9.5) == "updated"
         assert table.stale_drops == 1
         table.fuse()
-        assert track(table, 1).last_seen == 9.5
+        assert track(table, 1).last_seen == 10.0
         assert track(table, 1).time == 10.0

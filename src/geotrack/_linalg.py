@@ -18,7 +18,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     """
     sym = symmetrize(np.asarray(m, dtype=float))
     neg = np.linalg.eigvalsh(sym)[..., 0] < 0.0
-    if neg.any():
+    if np.count_nonzero(neg):
         w, v = np.linalg.eigh(sym[neg])
         sym[neg] = symmetrize((v * np.maximum(w, 0.0)[..., None, :])
                               @ v.swapaxes(-1, -2))

@@ -74,7 +74,7 @@ def propagate_sphere_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
     cos_brg = np.cos(brg)
 
     sin_lat2 = sin_lat * cos_c + cos_lat * sin_c * cos_brg
-    lat2 = np.arcsin(np.clip(sin_lat2, -1.0, 1.0))
+    lat2 = np.arcsin(sin_lat2.clip(-1.0, 1.0))  # the method skips np.clip's dispatch
     dlon = np.arctan2(sin_c * np.sin(brg),
                       cos_lat * cos_c - sin_lat * sin_c * cos_brg)
     lon2 = normalize_lon(np.asarray(lon_deg, dtype=float) + np.degrees(dlon))

@@ -42,27 +42,28 @@ def build_process_noise(lat_deg, cog_deg, dt) -> np.ndarray:
     disturbance maps to the correct angular variance at any latitude.  The
     speed-position cross terms flip influence with the instantaneous course.
     """
-    lat_deg, dt = np.asarray(lat_deg, dtype=float), np.asarray(dt, dtype=float)
+    # [()] turns a 0-d dt into a numpy scalar, whose arithmetic is cheaper
+    lat_deg, dt = np.asarray(lat_deg, dtype=float), np.asarray(dt, dtype=float)[()]
     if not ((np.abs(lat_deg) < 90.0) & (dt > 0)).all():
         raise DomainError("process noise needs |lat| < 90 and a positive dt")
     cog = np.radians(cog_deg)
     sigma_lon = ZETA0_M / (METERS_PER_DEGREE * np.cos(np.radians(lat_deg)))
     sigma_lat = ZETA0_M / METERS_PER_DEGREE
 
-    q = np.zeros(np.broadcast(lat_deg, dt).shape + (4, 4))
-    # the position variances carry dt here and again in the overall scaling
-    q[..., 0, 0] = sigma_lon ** 2 * dt
-    q[..., 1, 1] = sigma_lat ** 2 * dt
-    q[..., 0, 2] = q[..., 2, 0] = (sigma_lon * np.sin(cog)) ** 2
-    q[..., 1, 2] = q[..., 2, 1] = (sigma_lat * np.cos(cog)) ** 2
-    q[..., 2, 2] = SIGMA_SOG_MPS ** 2
-    q[..., 3, 3] = SIGMA_COG_DEG ** 2
-    q *= dt[..., None, None]
+    # the position variances carry dt twice, the rest once
+    q00 = sigma_lon ** 2 * dt * dt
+    q11 = sigma_lat ** 2 * dt * dt
+    q02 = (sigma_lon * np.sin(cog)) ** 2 * dt
+    q12 = (sigma_lat * np.cos(cog)) ** 2 * dt
+    q22, q33 = SIGMA_SOG_MPS ** 2 * dt, SIGMA_COG_DEG ** 2 * dt
+    q = np.zeros(q00.shape + (4, 4))
+    q[..., 0, 0], q[..., 1, 1], q[..., 2, 2], q[..., 3, 3] = q00, q11, q22, q33
+    q[..., 0, 2] = q[..., 2, 0] = q02
+    q[..., 1, 2] = q[..., 2, 1] = q12
     # the COG block is decoupled, so Q is PSD iff the Schur complement of its
     # position block, times q00 q11 > 0, is non-negative; project the rest
-    q00, q11 = q[..., 0, 0], q[..., 1, 1]
-    bad = q[..., 2, 2] * q00 * q11 < q[..., 0, 2] ** 2 * q11 + q[..., 1, 2] ** 2 * q00
-    if bad.any():
+    bad = q22 * q00 * q11 < q02 ** 2 * q11 + q12 ** 2 * q00
+    if np.count_nonzero(bad):
         q[bad] = project_psd(q[bad])
     return q
 

@@ -121,15 +121,16 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaPointSet:
 def _propagate_points(points: np.ndarray, dt) -> np.ndarray:
     """Push state vectors ``(..., 4)`` through the constant-velocity step on
     the sphere; ``dt`` broadcasts against ``points[..., 0]``."""
-    lon, lat, sog, cog = (points[..., i] for i in range(N_STATES))
-    dist = sog * dt
+    lon, lat, sog, cog = points[..., 0], points[..., 1], points[..., 2], points[..., 3]
+    dist, brg = sog * dt, cog
     # a sigma point offset can drive SOG negative: travel the reverse bearing
-    brg = np.where(dist < 0, (cog + 180.0) % 360.0, cog)
-    dist = np.abs(dist)
+    back = dist < 0.0
+    if np.count_nonzero(back):
+        brg, dist = np.where(back, (cog + 180.0) % 360.0, cog), np.abs(dist)
     out = np.empty(points.shape)  # C order: the weighted means sum in one fixed order
     out[..., 0], out[..., 1] = propagate_sphere_arrays(lon, lat, brg, dist)
-    out[..., 2] = np.maximum(0.0, sog)
-    out[..., 3] = cog % 360.0
+    np.maximum(0.0, sog, out=out[..., 2])
+    np.remainder(cog, 360.0, out=out[..., 3])
     return out
 
 
@@ -151,21 +152,20 @@ def _weighted_mean(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _residuals(points: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    res = points - mean[..., None, :]
-    res[..., ::3] = normalize_lon(res[..., ::3])  # lon and COG
-    return res
-
-
 def predict_arrays(mean: np.ndarray, cov: np.ndarray, dt, q: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """A priori means ``(..., 4)`` and covariances ``(..., 4, 4)`` of a stack of
-    beliefs, each stepped by its own ``dt`` and ``q``; rows are independent."""
+    beliefs, each stepped by its own ``dt`` and ``q``; rows are independent.
+    The means come out as ``normalize_state`` leaves them."""
     sp = sigma_points(mean, cov)
     transformed = _propagate_points(sp.points, np.asarray(dt)[..., None])
     mean = _weighted_mean(transformed, sp.weights)
-    res = _residuals(transformed, mean)
+    res = transformed - mean[..., None, :]
+    res[..., ::3] = normalize_lon(res[..., ::3])  # lon and COG
     cov = (sp.weights[:, None] * res).swapaxes(-1, -2) @ res + q
+    # lon is wrapped and course in [0, 360]: clip SOG and map a course of 360 to 0
+    np.maximum(0.0, mean[..., 2], out=mean[..., 2])
+    mean[..., 3] %= 360.0
     return mean, project_psd(cov)
 
 
@@ -247,8 +247,7 @@ class GeodeticUkf:
         mean, step = self.mean[rows], dt[rows]
         # Q is rebuilt every step from the current latitude/course estimate
         q = build_process_noise(mean[..., 1], mean[..., 3], step)
-        mean, self.cov[rows] = predict_arrays(mean, self.cov[rows], step, q)
-        self.mean[rows] = normalize_state(mean)
+        self.mean[rows], self.cov[rows] = predict_arrays(mean, self.cov[rows], step, q)
         self.time[rows] += step
 
     def update(self, meas: Measurement) -> None:

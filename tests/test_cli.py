@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -23,6 +24,28 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def untimed_corpus_track(tmp_path_factory):
+    """One ``track`` run over the untimed corpus: its exit code, CSV rows and
+    stderr, and every ingest as (mmsi, report time, outcome)."""
+    events = []
+    ingest = TrackTable.ingest
+
+    def recording_ingest(table, report, t):
+        kind = ingest(table, report, t)
+        events.append((report.mmsi, t, kind))
+        return kind
+
+    out = tmp_path_factory.mktemp("untimed") / "tracks.csv"
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(TrackTable, "ingest", recording_ingest)
+        code = main(["track", "-i", CORPUS, "-o", str(out)])
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, rows, err.getvalue(), events
 
 
 class TestDecode:
@@ -230,9 +253,8 @@ class TestTrack:
         payload, fill = enc.armor_bits(bits)
         return f"{t},{enc.sentence(1, 1, None, 'A', payload, fill)}\n"
 
-    def test_summary_prints_every_count(self, tmp_path, capsys):
-        code, _, err = run_cli(["track", "-i", CORPUS, "-o", str(tmp_path / "t.csv")],
-                               capsys)
+    def test_summary_prints_every_count(self, untimed_corpus_track):
+        code, _, err, _ = untimed_corpus_track
         assert code == EXIT_OK
         assert err.splitlines()[-1] == ("lines=534 decoded=525 malformed=3 tracks=8 "
                                         "stale_drops=0 skipped=0 retired=0 timed_out=5")
@@ -352,28 +374,15 @@ class TestTrack:
         assert (t, report.mmsi) == (0.0, 366999784)
         assert pulled == [0]
 
-    def test_synthetic_timestamps(self, tmp_path, capsys):
-        out = tmp_path / "tracks.csv"
-        code, _, _ = run_cli(["track", "-i", CORPUS, "-o", str(out)], capsys)
+    def test_synthetic_timestamps(self, untimed_corpus_track):
+        code, rows, _, _ = untimed_corpus_track
         assert code == EXIT_OK
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
         assert rows
 
-    def test_untimed_track_is_born_again_only_after_a_timeout(self, tmp_path, capsys,
-                                                               monkeypatch):
+    def test_untimed_track_is_born_again_only_after_a_timeout(self, untimed_corpus_track):
         # each vessel's synthetic clock keeps up with the busiest vessel's, so
         # a track ends only when its vessel has been silent past the timeout
-        events = []
-        ingest = TrackTable.ingest
-
-        def recording_ingest(table, report, t):
-            kind = ingest(table, report, t)
-            events.append((report.mmsi, t, kind))
-            return kind
-
-        monkeypatch.setattr(TrackTable, "ingest", recording_ingest)
-        code, _, _ = run_cli(["track", "-i", CORPUS, "-o", str(tmp_path / "t.csv")], capsys)
+        code, _, _, events = untimed_corpus_track
         assert code == EXIT_OK
         assert [t for _, t, _ in events] == sorted(t for _, t, _ in events)
         last_report, rebirths = {}, []

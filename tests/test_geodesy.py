@@ -129,9 +129,17 @@ class TestPropagateSphere:
         dist = rng.uniform(0, 5e5, 50)
         vlon, vlat = propagate_sphere_arrays(lon, lat, brg, dist)
         for i in range(50):
+            # a call on 0-d arrays gives the array call's bits
+            zero_d = (np.array(lon[i]), np.array(lat[i]), np.array(brg[i]), np.array(dist[i]))
+            assert propagate_sphere_arrays(*zero_d) == (vlon[i], vlat[i])
             p = propagate_sphere(GeoPoint(lon[i], lat[i]), brg[i], dist[i])
             assert vlon[i] == pytest.approx(p.lon, abs=1e-12)
             assert vlat[i] == pytest.approx(p.lat, abs=1e-12)
+        # one start point broadcasts against arrays of bearings and distances
+        blon, blat = propagate_sphere_arrays(lon[0], lat[0], brg, dist)
+        assert blon.shape == blat.shape == (50,)
+        for i in range(50):
+            assert propagate_sphere_arrays(lon[0], lat[0], brg[i], dist[i]) == (blon[i], blat[i])
 
 
 class TestVincenty:

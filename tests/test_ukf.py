@@ -314,6 +314,38 @@ class TestStackedPredict:
             assert np.all(np.abs(diff) <= 1e-12)
             assert np.all(np.abs(single.cov - c) <= 1e-12 * np.abs(single.cov).max())
 
+    # a belief at both seams: lon within 1e-9 of the dateline, course at 0 or
+    # just below 360, and SOG 0 with a wide spread, so that some sigma points
+    # have a negative SOG and travel the reversed bearing
+    seam_row = st.tuples(
+        st.sampled_from([-180.0, 180.0]), st.floats(-1e-9, 1e-9),  # lon
+        st.floats(-60.0, 60.0),                                     # lat
+        st.one_of(st.just(0.0), st.just(math.nextafter(360.0, 0.0)),
+                  st.floats(359.999, 360.0, exclude_max=True)),     # COG
+        st.floats(0.01, 25.0),                                      # SOG std
+        st.floats(0.01, 2.0),                                       # dt
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(seam_row, min_size=1, max_size=6))
+    def test_predicted_states_stay_in_range_at_the_seams(self, rows):
+        mean = np.array([[edge + off, lat, 0.0, cog] for edge, off, lat, cog, _, _ in rows])
+        mean = normalize_state(mean)
+        cov = np.array([np.diag([1e-9, 1e-9, sd ** 2, 4.0]) for *_, sd, _ in rows])
+        assert np.all(sigma_points(mean, cov).points[..., 2].min(axis=-1) < 0.0)
+        stacked = GeodeticUkf(mean, cov)
+        stacked.predict(np.array([dt for *_, dt in rows]))
+        single = GeodeticUkf(mean[0], cov[0])
+        single.predict(rows[0][-1])
+        for out in (stacked.mean, single.mean):
+            lon, sog, cog = out[..., 0], out[..., 2], out[..., 3]
+            assert np.all((-180.0 <= lon) & (lon < 180.0))
+            assert np.all((0.0 <= cog) & (cog < 360.0))
+            assert np.all(sog >= 0.0)
+            # the predict already leaves each state as normalize_state would
+            again = normalize_state(out.copy())
+            assert np.array_equal(again.view(np.int64), out.view(np.int64))
+
     def test_non_finite_covariance_cannot_be_factored(self):
         b = belief(cov=np.full((4, 4), np.nan))
         with pytest.raises(FactorizationFailure):

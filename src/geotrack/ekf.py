@@ -20,8 +20,7 @@ from .ukf import Measurement
 DEFAULT_P0 = 0.1 * np.eye(4)
 DEFAULT_Q = np.diag([0.01, 0.01, 0.1, 0.1])
 DEFAULT_R = np.diag([1e-3, 1e-3, 1e-3, 1e-2])
-_EYE = np.eye(4)
-DEFAULT_Q.flags.writeable = DEFAULT_R.flags.writeable = _EYE.flags.writeable = False  # shared
+DEFAULT_Q.flags.writeable = DEFAULT_R.flags.writeable = False  # shared by every filter
 
 # The ellipsoid surface is {v : v^T diag(_ELLIPSOID_W) v = 1}.
 _ELLIPSOID_W = np.array([1.0, 1.0, 1.0 / (1.0 - _E2)]) / WGS84_SEMI_MAJOR_M ** 2
@@ -44,7 +43,6 @@ class TangentPlane:
     origin: GeoPoint
     _ecef0: np.ndarray = field(init=False, repr=False)
     _rot: np.ndarray = field(init=False, repr=False)  # ECEF -> NED rotation
-    _down: tuple = field(init=False, repr=False)  # u, W u, u'W u of the down axis u
 
     def __post_init__(self):
         lat, lon = math.radians(self.origin.lat), math.radians(self.origin.lon)
@@ -53,10 +51,8 @@ class TangentPlane:
         rot = np.array([[-sl * co, -sl * so, cl],
                         [-so, co, 0.0],
                         [-cl * co, -cl * so, -sl]])
-        wu = _ELLIPSOID_W * rot[2]
         object.__setattr__(self, "_ecef0", geodetic_to_ecef(self.origin))
         object.__setattr__(self, "_rot", rot)
-        object.__setattr__(self, "_down", (rot[2], wu, float(rot[2] @ wu)))
 
 
 def geodetic_to_ned(p: GeoPoint, plane: TangentPlane) -> tuple[float, float]:
@@ -75,8 +71,9 @@ def ned_to_geodetic(north: float, east: float, plane: TangentPlane) -> GeoPoint:
     :class:`DomainError`.
     """
     c = plane._ecef0 + north * plane._rot[0] + east * plane._rot[1]
-    u, wu, a = plane._down
-    b, k = float(c @ wu), float(c @ (_ELLIPSOID_W * c)) - 1.0
+    u = plane._rot[2]
+    wu = _ELLIPSOID_W * u
+    a, b, k = float(u @ wu), float(c @ wu), float(c @ (_ELLIPSOID_W * c)) - 1.0
     disc = b * b - a * k
     if not 0.0 <= disc < math.inf:
         raise DomainError(f"plane point ({north:g}, {east:g}) m is beyond the Earth's limb")
@@ -85,12 +82,12 @@ def ned_to_geodetic(north: float, east: float, plane: TangentPlane) -> GeoPoint:
     return GeoPoint(math.degrees(math.atan2(y, x)), math.degrees(lat))
 
 
-def planar_dynamics(x: np.ndarray) -> np.ndarray:
+def planar_dynamics(x: list[float] | np.ndarray) -> np.ndarray:
     """Constant-velocity planar kinematics xdot = f(x)."""
     return np.array([x[2] * math.cos(x[3]), x[2] * math.sin(x[3]), 0.0, 0.0])
 
 
-def planar_jacobian(x: np.ndarray) -> np.ndarray:
+def planar_jacobian(x: list[float] | np.ndarray) -> np.ndarray:
     return np.array([
         [0.0, 0.0, math.cos(x[3]), -x[2] * math.sin(x[3])],
         [0.0, 0.0, math.sin(x[3]), x[2] * math.cos(x[3])],
@@ -131,7 +128,7 @@ class PlanarEkf:
     def predict(self, dt: float) -> np.ndarray:
         """Euler-discretized propagation with covariance Phi P Phi^T + Q dt."""
         x = self.x.tolist()  # the model's scalar math is cheaper on floats
-        phi = _EYE + planar_jacobian(x) * dt
+        phi = np.eye(4) + planar_jacobian(x) * dt
         self.x = self.x + planar_dynamics(x) * dt
         # .dot: the same product as @ on 2-D arrays, at a lower cost per call
         self.p = symmetrize(phi.dot(self.p).dot(phi.T) + DEFAULT_Q * dt)

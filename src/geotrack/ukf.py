@@ -122,11 +122,10 @@ def _propagate_points(points: np.ndarray, dt) -> np.ndarray:
     """Push state vectors ``(..., 4)`` through the constant-velocity step on
     the sphere; ``dt`` broadcasts against ``points[..., 0]``."""
     lon, lat, sog, cog = points[..., 0], points[..., 1], points[..., 2], points[..., 3]
-    dist, brg = sog * dt, cog
+    dist = sog * dt
     # a sigma point offset can drive SOG negative: travel the reverse bearing
-    back = dist < 0.0
-    if np.count_nonzero(back):
-        brg, dist = np.where(back, (cog + 180.0) % 360.0, cog), np.abs(dist)
+    brg = np.where(dist < 0, (cog + 180.0) % 360.0, cog)
+    dist = np.abs(dist)
     out = np.empty(points.shape)  # C order: the weighted means sum in one fixed order
     out[..., 0], out[..., 1] = propagate_sphere_arrays(lon, lat, brg, dist)
     np.maximum(0.0, sog, out=out[..., 2])

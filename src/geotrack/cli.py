@@ -184,7 +184,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.scenario:
+    if args.scenario is not None:
         try:
             scenario = sim.load_scenario(args.scenario)
         except ValueError as exc:  # parse errors, bad values, undecodable text

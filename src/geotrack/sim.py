@@ -41,7 +41,7 @@ class TrajectorySegment:
                              "no turn rate and a turn a nonzero one")
 
 
-# run_comparison's (n, 4, 4) float64 covariance stacks must be addressable
+# a run's (n, 4, 4) float64 covariance stacks must be addressable
 MAX_STEPS = np.iinfo(np.intp).max // (4 * 4 * 8)
 
 
@@ -194,7 +194,7 @@ def _position_error_m(lon1, lat1, lon2, lat2) -> float:
 
 def _metrics(truth: TruthTrajectory, record: FilterRunRecord) -> RunMetrics:
     res = record.est - truth.state
-    res[:, 3] = normalize_lon(res[:, 3])
+    res[:, ::3] = normalize_lon(res[:, ::3])  # lon and COG
     rmse = np.sqrt(np.mean(res ** 2, axis=0))
     return RunMetrics(
         rmse_lon=float(rmse[0]), rmse_lat=float(rmse[1]),
@@ -214,48 +214,67 @@ class ComparisonRun:
 
 
 def _score(truth: TruthTrajectory, est: np.ndarray, cov: np.ndarray,
-           sigma3_m: np.ndarray) -> FilterRunRecord:
+           m_per_lon, m_per_lat) -> FilterRunRecord:
     err = np.array([_position_error_m(lon, lat, t_lon, t_lat) for lon, lat, t_lon, t_lat
                     in zip(est[:, 0], est[:, 1], truth.state[:, 0], truth.state[:, 1])])
+    sigma3_m = 3.0 * np.sqrt(np.maximum(0.0, cov[:, 0, 0]) * m_per_lon ** 2
+                             + np.maximum(0.0, cov[:, 1, 1]) * m_per_lat ** 2)
     return FilterRunRecord(est, err, sigma3_m, np.trace(cov, axis1=1, axis2=2))
 
 
-def run_comparison(scenario: Scenario) -> ComparisonRun:
-    """Run the geodetic and planar filters on one shared measurement stream,
-    stepping both at the truth rate from the first report at t = 0."""
-    truth = generate_truth(scenario)
-    reports, stride = sample_ais(truth, scenario), scenario.report_stride
-    first = Measurement.full(*reports[0])
-    ukf = GeodeticUkf.from_first_measurement(first)
-    ekf = PlanarEkf.from_first_measurement(first, TangentPlane(scenario.start))
+def run_comparisons(scenarios: list[Scenario]) -> list[ComparisonRun]:
+    """Run the geodetic and planar filters of each scenario on its own reports
+    from t = 0, every run in lockstep on the truth grid that all share. The
+    UKFs are one stacked ``GeodeticUkf``, but a single run keeps the cheaper
+    unstacked belief; the EKFs step one by one."""
+    if len({(s.truth_rate_hz, s.n_steps) for s in scenarios}) != 1:
+        raise ValueError("scenarios must be one or more with one truth_rate_hz and n_steps")
+    truths = [generate_truth(s) for s in scenarios]
+    runs, n = len(scenarios), len(truths[0])
+    # the reports on the truth grid, masked off at the steps without one
+    z, mask = np.zeros((n, runs, 4)), np.zeros((n, runs, 4), dtype=bool)
+    for r, (truth, s) in enumerate(zip(truths, scenarios)):
+        z[::s.report_stride, r] = sample_ais(truth, s)
+        mask[::s.report_stride, r] = True
+    has = mask[..., 0].tolist()
+    ukf_z, ukf_mask = (z[:, 0], mask[:, 0]) if runs == 1 else (z, mask)
+    ukf = GeodeticUkf.from_first_measurement(Measurement(ukf_z[0], ukf_mask[0]))
+    ekfs = [PlanarEkf.from_first_measurement(Measurement(z[0, r], mask[0, r]),
+                                             TangentPlane(s.start))
+            for r, s in enumerate(scenarios)]
 
-    dt = 1.0 / scenario.truth_rate_hz
-    n = len(truth)
-    ukf_est, ekf_est = np.zeros((n, 4)), np.zeros((n, 4))
-    ukf_cov, ekf_cov = np.zeros((n, 4, 4)), np.zeros((n, 4, 4))
+    dt = 1.0 / scenarios[0].truth_rate_hz
+    ukf_est, ekf_est = np.zeros((runs, n, 4)), np.zeros((runs, n, 4))
+    ukf_cov, ekf_cov = np.zeros((runs, n, 4, 4)), np.zeros((runs, n, 4, 4))
     for i in range(n):
         if i:
             ukf.predict(dt)
-            ekf.predict(dt)
-            if i % stride == 0:
-                meas = Measurement.full(*reports[i // stride])
-                ukf.update(meas)
-                ekf.update(meas)
-        ukf_est[i], ukf_cov[i] = ukf.mean, ukf.cov
-        pos = ekf.geodetic_position()
-        ekf_est[i] = pos.lon, pos.lat, ekf.x[2], ekf.cog_deg
-        ekf_cov[i] = ekf.p
+            if any(has[i]):
+                ukf.update(Measurement(ukf_z[i], ukf_mask[i]))
+        ukf_est[:, i], ukf_cov[:, i] = ukf.mean, ukf.cov
+        for r, ekf in enumerate(ekfs):
+            if i:
+                ekf.predict(dt)
+                if has[i][r]:
+                    ekf.update(Measurement(z[i, r], mask[i, r]))
+            pos = ekf.geodetic_position()
+            ekf_est[r, i] = pos.lon, pos.lat, ekf.x[2], ekf.cog_deg
+            ekf_cov[r, i] = ekf.p
 
-    m_lon = METERS_PER_DEGREE * np.cos(np.radians(ukf_est[:, 1]))
-    ukf_sigma3 = 3.0 * np.sqrt(np.maximum(0.0, ukf_cov[:, 0, 0]) * m_lon ** 2
-                               + np.maximum(0.0, ukf_cov[:, 1, 1]) * METERS_PER_DEGREE ** 2)
-    # the EKF's position covariance is already in metres on its plane
-    ekf_sigma3 = 3.0 * np.sqrt(np.maximum(0.0, ekf_cov[:, 0, 0])
-                               + np.maximum(0.0, ekf_cov[:, 1, 1]))
-    rec_ukf = _score(truth, ukf_est, ukf_cov, ukf_sigma3)
-    rec_ekf = _score(truth, ekf_est, ekf_cov, ekf_sigma3)
-    return ComparisonRun(truth, rec_ukf, rec_ekf,
-                         _metrics(truth, rec_ukf), _metrics(truth, rec_ekf))
+    out = []
+    for truth, u_est, u_cov, e_est, e_cov in zip(truths, ukf_est, ukf_cov, ekf_est, ekf_cov):
+        m_lon = METERS_PER_DEGREE * np.cos(np.radians(u_est[:, 1]))
+        # the EKF's position covariance is already in metres on its plane
+        rec_ukf = _score(truth, u_est, u_cov, m_lon, METERS_PER_DEGREE)
+        rec_ekf = _score(truth, e_est, e_cov, 1.0, 1.0)
+        out.append(ComparisonRun(truth, rec_ukf, rec_ekf,
+                                 _metrics(truth, rec_ukf), _metrics(truth, rec_ekf)))
+    return out
+
+
+def run_comparison(scenario: Scenario) -> ComparisonRun:
+    """``run_comparisons`` of one scenario."""
+    return run_comparisons([scenario])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +316,9 @@ def lawnmower_scenario(ais_interval: float, n_legs: int = 10, seed: int = 0) -> 
 
 def stability_sweep(intervals=range(2, 69), n_legs: int = 10
                     ) -> list[tuple[float, ComparisonRun]]:
-    """Lawnmower runs over a range of AIS update intervals (seed 0 for all)."""
-    out = []
-    for interval in intervals:
-        run = run_comparison(lawnmower_scenario(float(interval), n_legs))
-        out.append((float(interval), run))
-    return out
+    """Lawnmower runs over a range of AIS update intervals (seed 0 for all), in lockstep."""
+    scenarios = [lawnmower_scenario(float(interval), n_legs) for interval in intervals]
+    return [(s.ais_interval, run) for s, run in zip(scenarios, run_comparisons(scenarios))]
 
 
 # ---------------------------------------------------------------------------

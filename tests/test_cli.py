@@ -456,6 +456,14 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert err.startswith("input error: ")
 
+    def test_empty_scenario_path_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code, _, err = run_cli(["simulate", "--scenario", "", "-o", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert len(err.splitlines()) == 1
+        assert err.startswith("input error: ")
+        assert not out.exists()
+
     # speeds that carry the EKF's plane position past the Earth's limb in
     # one step, where no surface point lies below it (DomainError); at
     # 1e200 m/s its covariance overflows first (FloatingPointError). numpy

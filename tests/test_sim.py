@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import astuple, replace
 from hypothesis import given, strategies as st
 
 from geotrack.geodesy import (GeoPoint, great_circle_inverse,
@@ -20,6 +20,7 @@ from geotrack.sim import (
     load_scenario,
     parse_scenario,
     run_comparison,
+    run_comparisons,
     sample_ais,
     stability_sweep,
 )
@@ -150,6 +151,16 @@ class TestComparisonRuns:
             assert metrics.rmse_pos_m == pytest.approx(
                 np.sqrt(np.mean(rec.err_pos_m ** 2)))
 
+    def test_lon_error_wraps_at_the_dateline(self):
+        # estimate and truth straddle the seam: a residual of about 360
+        # degrees is a few metres
+        sc = Scenario(start=GeoPoint(179.999, 10.0), initial_cog=90.0,
+                      segments=(TrajectorySegment(STRAIGHT, 60.0, 10.0),), seed=2)
+        run = run_comparison(sc)
+        assert np.any(np.abs(run.ukf.est[:, 0] - run.truth.state[:, 0]) > 180.0)
+        assert run.ukf_metrics.rmse_lon < 1e-4
+        assert run.ekf_metrics.rmse_lon < 1e-4
+
     def test_run_determinism(self):
         sc = boston_departure_scenario(seed=3)
         a, b = run_comparison(sc), run_comparison(sc)
@@ -180,10 +191,31 @@ class TestCanonicalScenarios:
         assert sc.ais_interval == 6.0
 
     def test_stability_sweep_shapes(self):
-        out = stability_sweep(intervals=(2, 30), n_legs=2)
-        assert [iv for iv, _ in out] == [2.0, 30.0]
-        for _, run in out:
+        out = stability_sweep(intervals=(2, 6, 30), n_legs=2)
+        assert [iv for iv, _ in out] == [2.0, 6.0, 30.0]
+        for interval, run in out:
             assert np.all(run.ukf.cov_trace > 0.0)
+            # lockstep parity: a sweep run is the single run of its scenario,
+            # the EKF bit for bit and the stacked UKF up to matmul rounding
+            alone = run_comparison(lawnmower_scenario(interval, n_legs=2))
+            assert np.array_equal(run.truth.state, alone.truth.state)
+            for field in ("est", "err_pos_m", "sigma3_m", "cov_trace"):
+                assert np.array_equal(getattr(run.ekf, field), getattr(alone.ekf, field))
+            assert run.ekf_metrics == alone.ekf_metrics
+            np.testing.assert_allclose(run.ukf.est, alone.ukf.est, rtol=0.0, atol=1e-7)
+            for field in ("err_pos_m", "sigma3_m"):
+                np.testing.assert_allclose(getattr(run.ukf, field), getattr(alone.ukf, field),
+                                           rtol=0.0, atol=1e-4)
+            np.testing.assert_allclose(run.ukf.cov_trace, alone.ukf.cov_trace, rtol=1e-7)
+            np.testing.assert_allclose(astuple(run.ukf_metrics), astuple(alone.ukf_metrics),
+                                       rtol=1e-7)
+
+    @pytest.mark.parametrize("scenarios", [
+        [], [boston_departure_scenario(), lawnmower_scenario(6.0, n_legs=4)]],
+        ids=["none", "boston-with-lawnmower"])
+    def test_runs_off_one_truth_grid_are_refused(self, scenarios):
+        with pytest.raises(ValueError, match="one truth_rate_hz and n_steps"):
+            run_comparisons(scenarios)
 
 
 BOSTON_FILE = os.path.join(os.path.dirname(__file__), "..", "scenarios",

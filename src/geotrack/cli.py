@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 from . import ais, geodesy, noise, sim
 from ._linalg import SingularInnovation
 from .ais import DynamicAisReport, StreamCounters
-from .tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable
+from .tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable, replay, timed_reports
 from .ukf import FactorizationFailure
 
 EXIT_OK = 0
@@ -117,8 +118,7 @@ def cmd_decode(args) -> int:
     with _open_input(args.input) as src, _open_output(args.output) as dst:
         reports = ais.decode_lines(src, counters)
         if args.format == "jsonl":
-            for _, report in reports:
-                dst.write(_jsonl_record(report) + "\n")
+            dst.writelines(_jsonl_record(report) + "\n" for _, report in reports)
         else:
             writer = csv.writer(dst, lineterminator="\n")
             writer.writerow(_DECODE_CSV_COLUMNS)
@@ -129,53 +129,19 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-# Synthetic arrival intervals by transponder class when no timestamp sidecar
-# column is present (Class A underway vs Class B underway).
-_SYNTHETIC_INTERVAL_S = {18: 30.0, 1: 10.0, 2: 10.0, 3: 10.0}
-
-
-def _timed_reports(lines, counters: StreamCounters):
-    """Yield (t, report) pairs as the lines arrive; time comes from a leading
-    sidecar column when present, else from a per-MMSI synthetic clock that
-    advances by a class-typical interval and never runs behind the latest
-    time already given out."""
-    synthetic_clock: dict[int, float] = {}
-    latest = -math.inf
-    for t, report in ais.decode_lines(lines, counters):
-        if not isinstance(report, DynamicAisReport):
-            continue
-        if t is None:
-            interval = _SYNTHETIC_INTERVAL_S.get(report.msg_type, 10.0)
-            t = max(synthetic_clock.get(report.mmsi, -interval) + interval, latest)
-        synthetic_clock[report.mmsi] = t
-        latest = max(latest, t)
-        yield t, report
-
-
 def cmd_track(args) -> int:
     counters = StreamCounters()
     table = TrackTable(filter_rate_hz=args.rate, stale_timeout=args.stale_timeout)
     with _open_input(args.input) as src, _open_output(args.output) as dst:
         dst.write("t,mmsi,lon_deg,lat_deg,sog_mps,cog_deg,p_trace\n")
-        k = None  # index of the next replay tick, at time k / rate
-        for t, report in _timed_reports(src, counters):
-            last = math.floor(t * args.rate)  # the last tick at or before t
-            k = last if k is None else k
-            while k <= last:
-                if not table.rows:  # nothing to predict: jump to the last tick
-                    k = last
-                t_tick = k / args.rate
-                rows = table.tick(t_tick)
-                stamp = repr(t_tick)  # every row of a tick carries its time
-                p_trace = np.trace(table.filt.cov[rows], axis1=-2, axis2=-1)
-                dst.writelines(f"{stamp},{mmsi},{lon!r},{lat!r},{sog!r},{cog!r},{p!r}\n"
-                               for mmsi, (lon, lat, sog, cog), p
-                               in zip(table.mmsi[rows].tolist(),
-                                      table.filt.mean[rows].tolist(), p_trace.tolist()))
-                dst.flush()  # on a live feed, each tick's rows go out at once
-                k += 1
-            table.ingest(report, t)
-    table.fuse()  # the reports that came after the last tick
+        for t_tick, rows in replay(timed_reports(src, counters), table):
+            stamp = repr(t_tick)  # every row of a tick carries its time
+            p_trace = np.trace(table.filt.cov[rows], axis1=-2, axis2=-1)
+            dst.writelines(f"{stamp},{mmsi},{lon!r},{lat!r},{sog!r},{cog!r},{p!r}\n"
+                           for mmsi, (lon, lat, sog, cog), p
+                           in zip(table.mmsi[rows].tolist(),
+                                  table.filt.mean[rows].tolist(), p_trace.tolist()))
+            dst.flush()  # on a live feed, each tick's rows go out at once
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} tracks={len(table.rows)} "
           f"stale_drops={table.stale_drops} skipped={table.skipped_reports} "
@@ -269,13 +235,10 @@ def cmd_study(args) -> int:
             dst.write("L1_m,L2_m,gamma_rad,delta_L_m,delta_s_m,epsilon_m\n")
             radii = np.linspace(0.0, args.max_distance, args.grid)
             gammas = np.linspace(0.0, math.pi, args.grid)
-            for l1 in radii:
-                for l2 in radii:
-                    for gamma in gammas:
-                        dl, ds, eps = geodesy.tangent_plane_separation_error(
-                            float(l1), float(l2), float(gamma))
-                        dst.write(",".join(repr(float(v)) for v in
-                                           (l1, l2, gamma, dl, ds, eps)) + "\n")
+            for l1, l2, gamma in itertools.product(radii, radii, gammas):
+                dl, ds, eps = geodesy.tangent_plane_separation_error(
+                    float(l1), float(l2), float(gamma))
+                dst.write(",".join(repr(float(v)) for v in (l1, l2, gamma, dl, ds, eps)) + "\n")
         else:  # wave-table
             dst.write("beaufort,Hs_m,Tp_s,zeta_m,umax_mps\n")
             for scale, hs, tp in noise.BEAUFORT_SEA_STATES:

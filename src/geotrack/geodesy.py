@@ -221,17 +221,14 @@ def vincenty_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
         sigma = math.atan2(sin_sigma, cos_sigma)
         sin_alpha = cos_u1 * cos_u2 * sin_lam / sin_sigma
         cos2_alpha = 1.0 - sin_alpha ** 2
-        if cos2_alpha == 0.0:
-            cos_2sm = 0.0  # equatorial line
-        else:
-            cos_2sm = cos_sigma - 2.0 * sin_u1 * sin_u2 / cos2_alpha
+        # 0 on an equatorial line
+        cos_2sm = 0.0 if cos2_alpha == 0.0 else cos_sigma - 2.0 * sin_u1 * sin_u2 / cos2_alpha
         c = (f / 16.0) * cos2_alpha * (4.0 + f * (4.0 - 3.0 * cos2_alpha))
-        lam_new = dlon + (1.0 - c) * f * sin_alpha * (
+        lam_old = lam
+        lam = dlon + (1.0 - c) * f * sin_alpha * (
             sigma + c * sin_sigma * (cos_2sm + c * cos_sigma * (-1.0 + 2.0 * cos_2sm ** 2)))
-        if abs(lam_new - lam) < VINCENTY_TOL_RAD:
-            lam = lam_new
+        if abs(lam - lam_old) < VINCENTY_TOL_RAD:
             break
-        lam = lam_new
     else:
         raise NonConvergenceError("Vincenty inverse did not converge (near-antipodal?)")
 

@@ -138,10 +138,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
             course_used = (course + jitter_c) % 360.0
             dist = speed * tau
             new_pos = propagate_sphere(pos, course_used, dist)
-            if dist > 1e-9:
-                arrival = great_circle_final_bearing(pos, new_pos)
-            else:
-                arrival = course_used
+            arrival = great_circle_final_bearing(pos, new_pos) if dist > 1e-9 else course_used
             course = (arrival - jitter_c + seg.turn_rate * tau) % 360.0
             pos = new_pos
             remaining -= tau
@@ -306,10 +303,9 @@ def lawnmower_scenario(ais_interval: float, n_legs: int = 10, seed: int = 0) -> 
     turn_rate = 180.0 / turn_time
     segments = []
     for leg in range(n_legs):
-        segments.append(TrajectorySegment(STRAIGHT, straight_time, speed))
         sign = 1.0 if leg % 2 == 0 else -1.0
-        segments.append(TrajectorySegment(TURN, turn_time, speed,
-                                          turn_rate=sign * turn_rate))
+        segments += [TrajectorySegment(STRAIGHT, straight_time, speed),
+                     TrajectorySegment(TURN, turn_time, speed, turn_rate=sign * turn_rate)]
     return Scenario(start=GeoPoint(-70.9, 42.3), initial_cog=0.0,
                     segments=tuple(segments), ais_interval=ais_interval, seed=seed)
 

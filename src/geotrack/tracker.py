@@ -1,17 +1,22 @@
 """Per-MMSI track management over one stacked filter: reports are queued as
 they arrive and fused at the next tick or ``fuse()``, and every track step, to
-a report or to a tick, is one stacked call for all the tracks that take it."""
+a report or to a tick, is one stacked call for all the tracks that take it.
+``replay`` drives a table on its tick clock through ``timed_reports``."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .ais import DynamicAisReport
+from .ais import DynamicAisReport, StreamCounters, decode_lines
 from .ukf import INITIAL_COV, GeodeticUkf, Measurement, normalize_state
 
 DEFAULT_STALE_TIMEOUT_S = 180.0  # longest Class A reporting interval (anchored)
 OUT_OF_ORDER_TOLERANCE_S = 1.0
 ON_TIME_S = 1e-9  # a belief this close to a target time has reached it
+# Arrival intervals of a report without a sidecar time: Class A 10 s, Class B 30 s
+_SYNTHETIC_INTERVAL_S = {18: 30.0, 1: 10.0, 2: 10.0, 3: 10.0}
 
 
 class TrackTable:
@@ -167,3 +172,41 @@ class TrackTable:
         self._advance(live[~stale], np.full(np.count_nonzero(~stale), float(t)))
         rows = np.flatnonzero(self.live)
         return rows[np.argsort(self.mmsi[rows])]
+
+
+def timed_reports(lines, counters: StreamCounters):
+    """Yield (t, report) pairs as the lines arrive; t is the sidecar time, else
+    a per-MMSI synthetic clock that advances by ``_SYNTHETIC_INTERVAL_S`` and
+    never runs behind the latest time already given out."""
+    synthetic_clock: dict[int, float] = {}
+    latest = -math.inf
+    for t, report in decode_lines(lines, counters):
+        if not isinstance(report, DynamicAisReport):
+            continue
+        if t is None:
+            interval = _SYNTHETIC_INTERVAL_S.get(report.msg_type, 10.0)
+            t = max(synthetic_clock.get(report.mmsi, -interval) + interval, latest)
+        synthetic_clock[report.mmsi] = t
+        latest = max(latest, t)
+        yield t, report
+
+
+def replay(reports, table: TrackTable):
+    """Drive ``table`` through (t, report) pairs, yielding ``(k / rate, rows)``
+    for each tick k of ``filter_rate_hz``: ``tick``'s rows, read before the
+    next resume. Each tick at or before a report's time is taken before the
+    report is ingested; while no track is live the clock jumps to the last such
+    tick. The reports after the last tick are fused when the reports end."""
+    rate = table.filter_rate_hz
+    k = None  # index of the next tick
+    for t, report in reports:
+        last = math.floor(t * rate)  # the last tick at or before t
+        k = last if k is None else k
+        while k <= last:
+            if not table.rows:  # nothing to predict: jump to the last tick
+                k = last
+            t_tick = k / rate
+            yield t_tick, table.tick(t_tick)
+            k += 1
+        table.ingest(report, t)
+    table.fuse()

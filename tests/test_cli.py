@@ -3,18 +3,16 @@ import csv
 import io
 import json
 import os
-import random
 import sys
-import time
 
 import numpy as np
 import pytest
 
 import make_ais_corpus as enc
-from geotrack.ais import DynamicAisReport, StaticAisReport, StreamCounters, decode_lines
+from geotrack.ais import DynamicAisReport, StaticAisReport, decode_lines
 from geotrack.cli import (_DECODE_CSV_COLUMNS, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK,
-                          EXIT_USAGE, _csv_row, _timed_reports, main, sphere_error_rows)
-from geotrack.tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable
+                          EXIT_USAGE, _csv_row, main, sphere_error_rows)
+from geotrack.tracker import TrackTable
 from conftest import DATA_DIR
 
 CORPUS = os.path.join(DATA_DIR, "ais_corpus.nmea")
@@ -29,23 +27,14 @@ def run_cli(argv, capsys):
 @pytest.fixture(scope="module")
 def untimed_corpus_track(tmp_path_factory):
     """One ``track`` run over the untimed corpus: its exit code, CSV rows and
-    stderr, and every ingest as (mmsi, report time, outcome)."""
-    events = []
-    ingest = TrackTable.ingest
-
-    def recording_ingest(table, report, t):
-        kind = ingest(table, report, t)
-        events.append((report.mmsi, t, kind))
-        return kind
-
+    stderr."""
     out = tmp_path_factory.mktemp("untimed") / "tracks.csv"
     err = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
-        mp.setattr(TrackTable, "ingest", recording_ingest)
+    with contextlib.redirect_stderr(err):
         code = main(["track", "-i", CORPUS, "-o", str(out)])
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return code, rows, err.getvalue(), events
+    return code, rows, err.getvalue()
 
 
 class TestDecode:
@@ -254,7 +243,7 @@ class TestTrack:
         return f"{t},{enc.sentence(1, 1, None, 'A', payload, fill)}\n"
 
     def test_summary_prints_every_count(self, untimed_corpus_track):
-        code, _, err, _ = untimed_corpus_track
+        code, _, err = untimed_corpus_track
         assert code == EXIT_OK
         assert err.splitlines()[-1] == ("lines=534 decoded=525 malformed=3 tracks=8 "
                                         "stale_drops=0 skipped=0 retired=0 timed_out=5")
@@ -281,61 +270,6 @@ class TestTrack:
         assert {r["mmsi"] for r in rows} == {"366999784"}
         assert "tracks=1 " in err and "retired=1" in err
 
-    def test_silent_gap_is_jumped(self, tmp_path, capsys):
-        stream = tmp_path / "gap.nmea"
-        stream.write_text(self.timed_report(0.0, 366999784, 42.0)
-                          + self.timed_report(1e7 + 0.5, 366999784, 42.0)
-                          + self.timed_report(1e7 + 2.0, 366999784, 42.0))
-        out = tmp_path / "tracks.csv"
-        start = time.perf_counter()
-        code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
-        assert time.perf_counter() - start < 2.0
-        assert code == EXIT_OK
-        with open(out, newline="") as fh:
-            times = [float(r["t"]) for r in csv.DictReader(fh)]
-        # ticks at 1..180 until the track goes stale; the clock then jumps to
-        # the tick 1e7 (empty), the report at 1e7 + 0.5 starts a new track,
-        # and it is ticked at 1e7 + 1 and 1e7 + 2
-        assert times == [float(k) for k in range(1, 181)] + [1e7 + 1.0, 1e7 + 2.0]
-
-    @pytest.mark.parametrize("rate", [1.0, 2.5, 0.3])
-    def test_rows_land_on_the_rate_grid(self, rate, tmp_path, capsys):
-        # the corpus with sidecar times advanced by random 0-1.3 s gaps
-        rng, t, lines = random.Random(5), 0.0, []
-        with open(CORPUS) as fh:
-            for ln in (ln.strip() for ln in fh if ln.strip()):
-                t += rng.uniform(0.0, 1.3)
-                lines.append(f"{t!r},{ln}\n")
-        stream = tmp_path / "jitter.nmea"
-        stream.write_text("".join(lines))
-        out = tmp_path / "tracks.csv"
-        code, _, _ = run_cli(["track", "-i", str(stream), "-o", str(out),
-                              "--rate", str(rate)], capsys)
-        assert code == EXIT_OK
-        with open(out, newline="") as fh:
-            ticks = [float(r["t"]) * rate for r in csv.DictReader(fh)]
-        assert ticks
-        assert all(abs(k - round(k)) <= 1e-6 for k in ticks)
-
-    def test_rows_carry_their_tick_time(self, tmp_path, capsys):
-        # every row of tick k carries t = k / rate, one string per tick
-        rate = 7
-        stream = tmp_path / "off-grid.nmea"
-        stream.write_text("".join(self.timed_report(0.13 + 6.1 * j + offset, mmsi, 42.0)
-                                  for j in range(8)
-                                  for offset, mmsi in ((0.0, 366999784), (2.37, 211234560),
-                                                       (4.05, 244660000))))
-        out = tmp_path / "tracks.csv"
-        code, _, _ = run_cli(["track", "-i", str(stream), "-o", str(out),
-                              "--rate", str(rate)], capsys)
-        assert code == EXIT_OK
-        ticks = {}
-        with open(out, newline="") as fh:
-            for row in csv.DictReader(fh):
-                ticks.setdefault(round(float(row["t"]) * rate), set()).add(row["t"])
-        assert len(ticks) > 40 * rate
-        assert {k: times for k, times in ticks.items() if times != {repr(k / rate)}} == {}
-
     def test_non_finite_sidecar_time_is_malformed(self, tmp_path, capsys):
         stream = tmp_path / "bad-times.nmea"
         report = self.timed_report(0.0, 366999784, 42.0).split(",", 1)[1]
@@ -361,37 +295,10 @@ class TestTrack:
         assert err.splitlines() == ["lines=2 decoded=0 malformed=2 tracks=0 "
                                     "stale_drops=0 skipped=0 retired=0 timed_out=0"]
 
-    def test_reports_stream_as_lines_arrive(self):
-        pulled = []
-
-        def feed():
-            for t in range(3):
-                pulled.append(t)
-                yield self.timed_report(float(t), 366999784, 42.0)
-
-        reports = _timed_reports(feed(), StreamCounters())
-        t, report = next(reports)
-        assert (t, report.mmsi) == (0.0, 366999784)
-        assert pulled == [0]
-
     def test_synthetic_timestamps(self, untimed_corpus_track):
-        code, rows, _, _ = untimed_corpus_track
+        code, rows, _ = untimed_corpus_track
         assert code == EXIT_OK
         assert rows
-
-    def test_untimed_track_is_born_again_only_after_a_timeout(self, untimed_corpus_track):
-        # each vessel's synthetic clock keeps up with the busiest vessel's, so
-        # a track ends only when its vessel has been silent past the timeout
-        code, _, _, events = untimed_corpus_track
-        assert code == EXIT_OK
-        assert [t for _, t, _ in events] == sorted(t for _, t, _ in events)
-        last_report, rebirths = {}, []
-        for mmsi, t, kind in events:
-            if kind == "created" and mmsi in last_report:
-                rebirths.append(t - last_report[mmsi])
-            if kind in ("created", "updated"):
-                last_report[mmsi] = t
-        assert all(gap > DEFAULT_STALE_TIMEOUT_S for gap in rebirths)
 
 
 class TestSimulate:

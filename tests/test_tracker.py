@@ -1,13 +1,22 @@
 import dataclasses
+import os
+import random
+import time
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import make_ais_corpus as enc
 from geotrack import ukf
-from geotrack.ais import DynamicAisReport
-from geotrack.tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable
+from geotrack.ais import DynamicAisReport, StreamCounters
+from geotrack.tracker import (DEFAULT_STALE_TIMEOUT_S, OUT_OF_ORDER_TOLERANCE_S, TrackTable,
+                              replay, timed_reports)
 from geotrack.ukf import GeodeticUkf, Measurement
+from conftest import DATA_DIR
+
+CORPUS = os.path.join(DATA_DIR, "ais_corpus.nmea")
 
 
 def report(mmsi, lon, lat, sog=7.0, cog=90.0, msg_type=1):
@@ -393,3 +402,136 @@ class TestQueuedFusion:
         table.fuse()
         assert track(table, 1).last_seen == 10.0
         assert track(table, 1).time == 10.0
+
+
+def nmea_line(t, mmsi, lat):
+    """One type 1 sentence for ``mmsi`` at (-70.9, ``lat``), after sidecar time t."""
+    bits = enc.encode_class_a(1, mmsi, 70, int(-70.9 * 600000), int(lat * 600000), 900, 90, 0)
+    payload, fill = enc.armor_bits(bits)
+    return f"{t},{enc.sentence(1, 1, None, 'A', payload, fill)}\n"
+
+
+class TestReplay:
+    def test_silent_gap_is_jumped(self):
+        reports = [(t, report(366999784, -70.9, 42.0)) for t in (0.0, 1e7 + 0.5, 1e7 + 2.0)]
+        start = time.perf_counter()
+        ticks = [(t, len(rows)) for t, rows in replay(reports, TrackTable())]
+        assert time.perf_counter() - start < 2.0
+        # the first report's tick 0 (empty), ticks 1..180 until the track goes
+        # stale and 181 (empty); the clock then jumps to the tick 1e7 (empty),
+        # the report at 1e7 + 0.5 starts a new track, and it is ticked at
+        # 1e7 + 1 and 1e7 + 2
+        assert [t for t, _ in ticks] == [float(k) for k in range(182)] + [1e7, 1e7 + 1, 1e7 + 2]
+        assert [t for t, n in ticks if n] == ([float(k) for k in range(1, 181)]
+                                              + [1e7 + 1.0, 1e7 + 2.0])
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 0.3])
+    def test_rows_land_on_the_rate_grid(self, rate):
+        # four vessels reporting in turn after random 0-1.3 s gaps: every live
+        # belief reaches each tick time exactly
+        rng, t, reports = random.Random(5), 0.0, []
+        for i in range(400):
+            t += rng.uniform(0.0, 1.3)
+            reports.append((t, report(366999780 + i % 4, -70.9 + i % 4 / 10, 42.0 + i * 1e-5)))
+        table = TrackTable(filter_rate_hz=rate)
+        ticks = 0
+        for t_tick, rows in replay(reports, table):
+            ticks += len(rows) > 0
+            assert (table.filt.time[rows] == t_tick).all()
+        assert ticks > 0.9 * t * rate
+
+    def test_rows_carry_their_tick_time(self):
+        # reports off the grid of a 7 Hz clock: tick k is at exactly k / 7
+        rate = 7
+        reports = [(0.13 + 6.1 * j + offset, report(mmsi, -70.9, 42.0))
+                   for j in range(8)
+                   for offset, mmsi in ((0.0, 366999784), (2.37, 211234560), (4.05, 244660000))]
+        times = [t for t, _ in replay(reports, TrackTable(filter_rate_hz=rate))]
+        assert len(times) > 40 * rate
+        assert times == [k / rate for k in range(len(times))]
+
+    def test_reports_stream_as_lines_arrive(self):
+        pulled = []
+
+        def feed():
+            for t in range(3):
+                pulled.append(t)
+                yield nmea_line(float(t), 366999784, 42.0)
+
+        reports = timed_reports(feed(), StreamCounters())
+        t, first = next(reports)
+        assert (t, first.mmsi) == (0.0, 366999784)
+        assert pulled == [0]
+        # the tick before the first report is taken before a second line is read
+        pulled.clear()
+        t_tick, rows = next(replay(timed_reports(feed(), StreamCounters()), TrackTable()))
+        assert (t_tick, len(rows), pulled) == (0.0, 0, [0])
+
+    def test_untimed_track_is_born_again_only_after_a_timeout(self, monkeypatch):
+        # each vessel's synthetic clock keeps up with the busiest vessel's, so
+        # a track ends only when its vessel has been silent past the timeout
+        events = []
+        ingest = TrackTable.ingest
+
+        def recording_ingest(table, r, t):
+            kind = ingest(table, r, t)
+            events.append((r.mmsi, t, kind))
+            return kind
+
+        monkeypatch.setattr(TrackTable, "ingest", recording_ingest)
+        with open(CORPUS, encoding="utf-8") as fh:
+            for _ in replay(timed_reports(fh, StreamCounters()), TrackTable()):
+                pass
+        assert [t for _, t, _ in events] == sorted(t for _, t, _ in events)
+        last_report, rebirths = {}, []
+        for mmsi, t, kind in events:
+            if kind == "created" and mmsi in last_report:
+                rebirths.append(t - last_report[mmsi])
+            if kind in ("created", "updated"):
+                last_report[mmsi] = t
+        assert rebirths
+        assert all(gap > DEFAULT_STALE_TIMEOUT_S for gap in rebirths)
+
+
+def _fields(lo, hi):
+    return st.none() | st.floats(lo, hi)
+
+
+# reports as the decoder yields them: positions within +-180/+-90 (the poles
+# too) or missing, SOG 0-102.2 kn in m/s, COG 0-359.9 degrees
+decoded_reports = st.builds(
+    DynamicAisReport,
+    mmsi=st.sampled_from((211234560, 244660000, 366999784, 538001234)),
+    msg_type=st.sampled_from((1, 2, 3, 18)),
+    lon=_fields(-180.0, 180.0),
+    lat=st.sampled_from((-90.0, 90.0)) | _fields(-90.0, 90.0),
+    sog=_fields(0.0, 1022 * 0.051444),
+    cog=_fields(0.0, 359.9),
+    heading=st.none() | st.integers(0, 359),
+    timestamp_sec=st.none() | st.integers(0, 59))
+
+# a forward feed clock; a report's time lags it by nothing, by less than the
+# out-of-order tolerance, or by more
+timed_entries = st.lists(st.tuples(
+    st.sampled_from((0.0,)) | st.floats(0.0, 3.0),
+    st.sampled_from((0.0,)) | st.floats(0.0, 0.99 * OUT_OF_ORDER_TOLERANCE_S)
+    | st.floats(1.01 * OUT_OF_ORDER_TOLERANCE_S, 4.0),
+    decoded_reports), max_size=20)
+
+
+@settings(max_examples=40)
+@given(start=st.floats(-100.0, 1e4), entries=timed_entries,
+       rate=st.sampled_from((0.3, 1.0, 7.0)), stale_timeout=st.sampled_from((4.0, 180.0)))
+def test_replay_ticks_live_rows_on_its_grid(start, entries, rate, stale_timeout):
+    clock, reports = start, []
+    for step, lag, r in entries:
+        clock += step
+        reports.append((clock - lag, r))
+    table = TrackTable(filter_rate_hz=rate, stale_timeout=stale_timeout)
+    prev = -np.inf
+    for t_tick, rows in replay(reports, table):
+        assert t_tick > prev
+        assert round(t_tick * rate) / rate == t_tick
+        assert table.live[rows].all()
+        assert (np.diff(table.mmsi[rows]) > 0).all()
+        prev = t_tick

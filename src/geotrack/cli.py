@@ -206,6 +206,13 @@ def _sphere_error_block(seed: int, start: int, count: int,
     return np.column_stack((lat, bearing, distance, err, err / distance * 100.0))
 
 
+def _sphere_error_blocks(samples: int, seed: int, max_distance: float):
+    """The rows of ``sphere_error_rows``, one block at a time."""
+    for k, start in enumerate(range(0, samples, SPHERE_ERROR_BLOCK)):
+        yield _sphere_error_block(seed + k, start, min(SPHERE_ERROR_BLOCK, samples - start),
+                                  max_distance)
+
+
 def sphere_error_rows(samples: int, seed: int,
                       max_distance: float = 500e3) -> np.ndarray:
     """Sphere-vs-WGS84 propagation error of ``samples`` random arcs.
@@ -213,24 +220,24 @@ def sphere_error_rows(samples: int, seed: int,
     Returns a ``(samples, 5)`` array with the columns lat (deg), bearing (deg),
     distance (m), error (m) and error as a percentage of distance.
     """
-    starts = range(0, samples, SPHERE_ERROR_BLOCK)
-    blocks = [_sphere_error_block(seed + k, start,
-                                  min(SPHERE_ERROR_BLOCK, samples - start),
-                                  max_distance)
-              for k, start in enumerate(starts)]
-    return np.concatenate(blocks) if blocks else np.empty((0, 5))
+    return np.concatenate([np.empty((0, 5)),
+                           *_sphere_error_blocks(samples, seed, max_distance)])
 
 
 def cmd_study(args) -> int:
     if args.kind == "plane-error" and args.max_distance >= geodesy.MEAN_EARTH_RADIUS_M:
         raise UsageError(f"plane-error --max-distance must be below the mean Earth "
                          f"radius, {geodesy.MEAN_EARTH_RADIUS_M:g} m")
+    if args.kind == "sphere-error" and args.max_distance < 1.0:
+        raise UsageError("sphere-error --max-distance must be at least 1 m")
     with _open_output(args.output) as dst:
         if args.kind == "sphere-error":
             dst.write("lat_deg,bearing_deg,distance_m,error_m,normalized_error_pct\n")
-            # row by row, so that no Python copy of the whole array is held
-            for row in sphere_error_rows(args.samples, args.seed, args.max_distance):
-                dst.write(",".join(map(repr, row.tolist())) + "\n")
+            # each block is written row by row as soon as it is computed, so
+            # memory holds one block, whatever --samples is
+            for block in _sphere_error_blocks(args.samples, args.seed, args.max_distance):
+                for row in block:
+                    dst.write(",".join(map(repr, row.tolist())) + "\n")
         elif args.kind == "plane-error":
             dst.write("L1_m,L2_m,gamma_rad,delta_L_m,delta_s_m,epsilon_m\n")
             radii = np.linspace(0.0, args.max_distance, args.grid)

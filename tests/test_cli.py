@@ -4,11 +4,13 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import make_ais_corpus as enc
+from geotrack import cli
 from geotrack.ais import DynamicAisReport, StaticAisReport, decode_lines
 from geotrack.cli import (_DECODE_CSV_COLUMNS, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK,
                           EXIT_USAGE, _csv_row, main, sphere_error_rows)
@@ -424,6 +426,34 @@ class TestStudy:
         assert a.shape == (1000, 5)
         np.testing.assert_array_equal(a, b)
 
+    def test_sphere_error_streams_the_rows_of_the_helper(self, tmp_path, capsys):
+        """Across a block boundary (one full block, then a 3-row block) the
+        streamed CSV holds the rows of ``sphere_error_rows``, float for float."""
+        out = tmp_path / "sphere.csv"
+        code, _, _ = run_cli(["study", "sphere-error", "--samples", "20003",
+                              "--seed", "5", "-o", str(out)], capsys)
+        assert code == EXIT_OK
+        want = [",".join(map(repr, row)) for row in sphere_error_rows(20003, 5).tolist()]
+        assert out.read_text().splitlines()[1:] == want
+
+    def test_sphere_error_memory_does_not_grow_with_samples(self, monkeypatch):
+        """The study holds one block at a time: with 500-row blocks, ten times
+        the samples raise the traced peak by well under the 0.36 MB of the
+        extra rows' floats."""
+        monkeypatch.setattr(cli, "SPHERE_ERROR_BLOCK", 500)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert main(["study", "sphere-error", "--samples", str(samples),
+                             "-o", os.devnull]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the first run also traces one-time imports and caches
+        assert peak(10000) - peak(1000) < 0.25e6
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [
@@ -442,6 +472,7 @@ class TestUsage:
         ["track", "--rate", "1e20"],
         ["simulate", "--seed", "-1"],
         ["study", "sphere-error", "--seed", "-1"],
+        ["study", "sphere-error", "--max-distance", "0.5"],
     ])
     def test_bad_numeric_value(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -64,8 +64,8 @@ class GeodesicSolution:
 # ---------------------------------------------------------------------------
 
 def propagate_sphere_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
-    """Vectorized great-circle propagation on the mean-radius sphere.
-    Returns (lon, lat) in degrees."""
+    """Vectorized great-circle propagation on the mean-radius sphere; a
+    negative distance travels the reverse bearing. Returns (lon, lat) in degrees."""
     lat = np.radians(lat_deg)
     brg = np.radians(bearing_deg)
     c = np.asarray(distance_m, dtype=float) / MEAN_EARTH_RADIUS_M
@@ -79,15 +79,6 @@ def propagate_sphere_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
                       cos_lat * cos_c - sin_lat * sin_c * cos_brg)
     lon2 = normalize_lon(np.asarray(lon_deg, dtype=float) + np.degrees(dlon))
     return lon2, np.degrees(lat2)
-
-
-def propagate_sphere(p: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
-    """Point reached by traveling ``distance_m`` along the great circle leaving
-    ``p`` at ``bearing_deg``."""
-    if distance_m < 0:
-        raise DomainError("distance must be nonnegative")
-    lon2, lat2 = propagate_sphere_arrays(p.lon, p.lat, bearing_deg, distance_m)
-    return GeoPoint(float(lon2), float(lat2))
 
 
 def great_circle_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
@@ -107,12 +98,6 @@ def great_circle_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
     return dist, wrap_bearing(math.degrees(brg))
 
 
-def great_circle_final_bearing(p1: GeoPoint, p2: GeoPoint) -> float:
-    """Arrival bearing at p2 of the great circle from p1 through p2, degrees."""
-    _, back = great_circle_inverse(p2, p1)
-    return wrap_bearing(back + 180.0)
-
-
 # ---------------------------------------------------------------------------
 # Vincenty direct / inverse (ellipsoid)
 # ---------------------------------------------------------------------------
@@ -127,9 +112,7 @@ def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
     lat1 = np.radians(np.asarray(lat_deg, dtype=float))
     alpha1 = np.radians(np.asarray(bearing_deg, dtype=float))
     s = np.asarray(distance_m, dtype=float)
-    scalar = lon1.ndim == 0 and lat1.ndim == 0 and alpha1.ndim == 0 and s.ndim == 0
-    lon1, lat1, alpha1, s = np.broadcast_arrays(
-        np.atleast_1d(lon1), np.atleast_1d(lat1), np.atleast_1d(alpha1), np.atleast_1d(s))
+    lon1, lat1, alpha1, s = np.broadcast_arrays(lon1, lat1, alpha1, s)
 
     a, f = WGS84_SEMI_MAJOR_M, WGS84_FLATTENING
     b = a * (1.0 - f)
@@ -177,10 +160,7 @@ def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
         sigma + c * sin_s * (cos_2sm + c * cos_s * (-1.0 + 2.0 * cos_2sm ** 2)))
     lon2 = normalize_lon(lon1 + np.degrees(dlon))
     alpha2 = np.degrees(np.arctan2(sin_alpha, -tmp)) % 360.0
-    lat2 = np.degrees(lat2)
-    if scalar:
-        return float(lon2[0]), float(lat2[0]), float(alpha2[0]), int(iters[0])
-    return lon2, lat2, alpha2, iters
+    return lon2, np.degrees(lat2), alpha2, iters
 
 
 def vincenty_direct(p: GeoPoint, bearing_deg: float, distance_m: float) -> GeodesicSolution:
@@ -188,7 +168,7 @@ def vincenty_direct(p: GeoPoint, bearing_deg: float, distance_m: float) -> Geode
     if distance_m < 0:
         raise DomainError("distance must be nonnegative")
     lon2, lat2, alpha2, _ = vincenty_direct_arrays(p.lon, p.lat, bearing_deg, distance_m)
-    return GeodesicSolution(GeoPoint(lon2, lat2), alpha2)
+    return GeodesicSolution(GeoPoint(float(lon2), float(lat2)), float(alpha2))
 
 
 def vincenty_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ekf import PlanarEkf, TangentPlane
-from .geodesy import (GeoPoint, great_circle_final_bearing, great_circle_inverse,
-                      normalize_lon, propagate_sphere, vincenty_inverse, NonConvergenceError)
+from .geodesy import (MEAN_EARTH_RADIUS_M, GeoPoint, great_circle_inverse, normalize_lon,
+                      propagate_sphere_arrays, vincenty_inverse, NonConvergenceError)
 from .noise import (MEAS_STD_COG_DEG, MEAS_STD_LAT_DEG, MEAS_STD_LON_DEG, MEAS_STD_SOG_MPS,
                     METERS_PER_DEGREE)
 from .ukf import GeodeticUkf, Measurement
@@ -110,7 +110,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
     segments = list(scenario.segments)
     seg_idx = 0
     seg_time_left = segments[0].duration
-    pos = scenario.start
+    lon, lat = scenario.start.lon, scenario.start.lat
     course = scenario.initial_cog % 360.0
 
     t = np.arange(n) * dt
@@ -123,7 +123,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
         speed = max(0.0, seg.speed + jitter_s)
         course_used = (course + jitter_c) % 360.0
 
-        state[k] = pos.lon, pos.lat, speed, course_used
+        state[k] = lon, lat, speed, course_used
 
         # advance one output step, splitting at segment boundaries
         remaining = dt
@@ -137,10 +137,14 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
             speed = max(0.0, seg.speed + jitter_s)
             course_used = (course + jitter_c) % 360.0
             dist = speed * tau
-            new_pos = propagate_sphere(pos, course_used, dist)
-            arrival = great_circle_final_bearing(pos, new_pos) if dist > 1e-9 else course_used
+            # arrival bearing of the great circle from this start, bearing and arc
+            phi, theta = math.radians(lat), math.radians(course_used)
+            c = dist / MEAN_EARTH_RADIUS_M
+            arrival = math.degrees(math.atan2(
+                math.sin(theta) * math.cos(phi),
+                math.cos(phi) * math.cos(c) * math.cos(theta) - math.sin(phi) * math.sin(c)))
+            lon, lat = propagate_sphere_arrays(lon, lat, course_used, dist)
             course = (arrival - jitter_c + seg.turn_rate * tau) % 360.0
-            pos = new_pos
             remaining -= tau
             seg_time_left -= tau
             if seg_time_left <= 1e-12 and seg_idx + 1 < len(segments):

@@ -122,12 +122,10 @@ def _propagate_points(points: np.ndarray, dt) -> np.ndarray:
     """Push state vectors ``(..., 4)`` through the constant-velocity step on
     the sphere; ``dt`` broadcasts against ``points[..., 0]``."""
     lon, lat, sog, cog = points[..., 0], points[..., 1], points[..., 2], points[..., 3]
-    dist = sog * dt
-    # a sigma point offset can drive SOG negative: travel the reverse bearing
-    brg = np.where(dist < 0, (cog + 180.0) % 360.0, cog)
-    dist = np.abs(dist)
     out = np.empty(points.shape)  # C order: the weighted means sum in one fixed order
-    out[..., 0], out[..., 1] = propagate_sphere_arrays(lon, lat, brg, dist)
+    # a sigma point offset can drive SOG negative: a negative distance travels
+    # the reverse bearing
+    out[..., 0], out[..., 1] = propagate_sphere_arrays(lon, lat, cog, sog * dt)
     np.maximum(0.0, sog, out=out[..., 2])
     np.remainder(cog, 360.0, out=out[..., 3])
     return out

@@ -11,10 +11,8 @@ from geotrack.geodesy import (
     DomainError,
     GeoPoint,
     MEAN_EARTH_RADIUS_M,
-    great_circle_final_bearing,
     great_circle_inverse,
     normalize_lon,
-    propagate_sphere,
     propagate_sphere_arrays,
     sample_uniform_sphere_arrays,
     tangent_plane_separation_error,
@@ -37,6 +35,10 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def meters_between(p1: GeoPoint, p2: GeoPoint) -> float:
     d, _ = great_circle_inverse(p1, p2)
     return d
+
+
+def propagate(p: GeoPoint, bearing: float, dist: float) -> GeoPoint:
+    return GeoPoint(*map(float, propagate_sphere_arrays(p.lon, p.lat, bearing, dist)))
 
 
 class TestGeoPoint:
@@ -82,31 +84,39 @@ class TestAngleWraps:
 
 class TestPropagateSphere:
     def test_meridional_one_degree(self):
-        out = propagate_sphere(GeoPoint(0.0, 0.0), 0.0, ONE_DEGREE_ARC)
-        assert out.lat == pytest.approx(1.0, abs=1e-12)
-        assert out.lon == pytest.approx(0.0, abs=1e-12)
+        lon, lat = propagate_sphere_arrays(0.0, 0.0, 0.0, ONE_DEGREE_ARC)
+        assert lat == pytest.approx(1.0, abs=1e-12)
+        assert lon == pytest.approx(0.0, abs=1e-12)
 
     def test_equatorial_one_degree(self):
-        out = propagate_sphere(GeoPoint(0.0, 0.0), 90.0, ONE_DEGREE_ARC)
-        assert out.lon == pytest.approx(1.0, abs=1e-12)
-        assert out.lat == pytest.approx(0.0, abs=1e-9)
+        lon, lat = propagate_sphere_arrays(0.0, 0.0, 90.0, ONE_DEGREE_ARC)
+        assert lon == pytest.approx(1.0, abs=1e-12)
+        assert lat == pytest.approx(0.0, abs=1e-9)
 
     @given(lons, lats, bearings)
     def test_zero_distance_identity(self, lon, lat, bearing):
-        p = GeoPoint(lon, lat)
-        out = propagate_sphere(p, bearing, 0.0)
-        assert out.lon == pytest.approx(p.lon, abs=1e-12)
-        assert out.lat == pytest.approx(p.lat, abs=1e-12)
+        out_lon, out_lat = propagate_sphere_arrays(lon, lat, bearing, 0.0)
+        assert out_lon == pytest.approx(lon, abs=1e-12)
+        assert out_lat == pytest.approx(lat, abs=1e-12)
 
     @given(lons, lats, bearings, st.floats(0.1, 200.0),
            st.floats(-360.0, 360.0))
     def test_longitude_shift_invariance(self, lon, lat, bearing, dist, shift):
-        base = propagate_sphere(GeoPoint(lon, lat), bearing, dist * 1000.0)
-        moved = propagate_sphere(GeoPoint(normalize_lon(lon + shift), lat),
-                                 bearing, dist * 1000.0)
-        dlon = (moved.lon - base.lon - shift + 180.0) % 360.0 - 180.0
+        base_lon, base_lat = propagate_sphere_arrays(lon, lat, bearing, dist * 1000.0)
+        moved_lon, moved_lat = propagate_sphere_arrays(normalize_lon(lon + shift), lat,
+                                                       bearing, dist * 1000.0)
+        dlon = (moved_lon - base_lon - shift + 180.0) % 360.0 - 180.0
         assert abs(dlon) < 1e-9
-        assert moved.lat == pytest.approx(base.lat, abs=1e-12)
+        assert moved_lat == pytest.approx(base_lat, abs=1e-12)
+
+    @given(lons, st.floats(-80.0, 80.0), bearings, st.floats(0.0, 1e6))
+    @example(179.9999, 0.0, 90.0, 50.0)
+    def test_negative_distance_travels_reverse_bearing(self, lon, lat, bearing, dist):
+        # the UKF passes a sigma point's negative SOG * dt straight through
+        back_lon, back_lat = propagate_sphere_arrays(lon, lat, bearing, -dist)
+        rev_lon, rev_lat = propagate_sphere_arrays(lon, lat, bearing + 180.0, dist)
+        assert abs(normalize_lon(back_lon - rev_lon)) < 1e-9
+        assert abs(back_lat - rev_lat) < 1e-9
 
     def test_short_arcs_near_vincenty(self):
         rng = np.random.default_rng(7)
@@ -115,7 +125,7 @@ class TestPropagateSphere:
                          float(rng.uniform(-80, 80)))
             bearing = float(rng.uniform(0, 360))
             dist = float(rng.uniform(0.1, 200.0))
-            sph = propagate_sphere(p, bearing, dist)
+            sph = propagate(p, bearing, dist)
             ell = vincenty_direct(p, bearing, dist).destination
             # compare on the ellipsoid-scale metric
             err = meters_between(sph, ell)
@@ -132,9 +142,9 @@ class TestPropagateSphere:
             # a call on 0-d arrays gives the array call's bits
             zero_d = (np.array(lon[i]), np.array(lat[i]), np.array(brg[i]), np.array(dist[i]))
             assert propagate_sphere_arrays(*zero_d) == (vlon[i], vlat[i])
-            p = propagate_sphere(GeoPoint(lon[i], lat[i]), brg[i], dist[i])
-            assert vlon[i] == pytest.approx(p.lon, abs=1e-12)
-            assert vlat[i] == pytest.approx(p.lat, abs=1e-12)
+            # and so does a call on Python floats
+            floats = (float(lon[i]), float(lat[i]), float(brg[i]), float(dist[i]))
+            assert propagate_sphere_arrays(*floats) == (vlon[i], vlat[i])
         # one start point broadcasts against arrays of bearings and distances
         blon, blat = propagate_sphere_arrays(lon[0], lat[0], brg, dist)
         assert blon.shape == blat.shape == (50,)
@@ -216,7 +226,7 @@ class TestSphericalErrorStatistics:
         for lat in (0.0, 20.0, 45.0):
             p = GeoPoint(10.0, lat)
             for bearing in (0.0, 90.0, 180.0, 270.0):
-                sph = propagate_sphere(p, bearing, 1e5)
+                sph = propagate(p, bearing, 1e5)
                 ell = vincenty_direct(p, bearing, 1e5).destination
                 assert meters_between(sph, ell) < 0.0058 * 1e5
 
@@ -258,14 +268,6 @@ class TestTangentPlaneError:
 
 
 class TestBearingsAndInverse:
-    def test_final_bearing_continues_great_circle(self):
-        p = GeoPoint(-71.0, 42.0)
-        mid = propagate_sphere(p, 60.0, 5e5)
-        arrival = great_circle_final_bearing(p, mid)
-        end_direct = propagate_sphere(p, 60.0, 1e6)
-        end_chained = propagate_sphere(mid, arrival, 5e5)
-        assert meters_between(end_direct, end_chained) < 1.0
-
     def test_great_circle_inverse_equator(self):
         d, b = great_circle_inverse(GeoPoint(0.0, 0.0), GeoPoint(1.0, 0.0))
         assert d == pytest.approx(ONE_DEGREE_ARC, rel=1e-12)

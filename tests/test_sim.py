@@ -6,8 +6,8 @@ import pytest
 from dataclasses import astuple, replace
 from hypothesis import given, strategies as st
 
-from geotrack.geodesy import (GeoPoint, great_circle_inverse,
-                              great_circle_final_bearing, propagate_sphere)
+from geotrack.geodesy import (MEAN_EARTH_RADIUS_M, GeoPoint, great_circle_inverse,
+                              propagate_sphere_arrays)
 from geotrack.sim import (
     STRAIGHT,
     TURN,
@@ -31,6 +31,12 @@ def noiseless(scenario: Scenario) -> Scenario:
                    meas_noise=(0.0, 0.0, 0.0, 0.0))
 
 
+def unit_vector(lon_deg, lat_deg) -> np.ndarray:
+    """Earth-centred unit vectors of points, stacked along the first axis."""
+    lon, lat = np.radians(lon_deg), np.radians(lat_deg)
+    return np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+
+
 def straight_scenario(duration=600.0, speed=7.0, cog=63.0, **kwargs):
     return Scenario(start=GeoPoint(-70.9, 42.3), initial_cog=cog,
                     segments=(TrajectorySegment(STRAIGHT, duration, speed),),
@@ -46,8 +52,8 @@ class TestTruthGeneration:
         start = GeoPoint(*truth.state[0, :2])
         for i in range(1, len(truth), 25):
             dist = 7.0 * truth.t[i]
-            expect = propagate_sphere(start, sc.initial_cog, dist)
-            d, _ = great_circle_inverse(GeoPoint(*truth.state[i, :2]), expect)
+            expect = propagate_sphere_arrays(start.lon, start.lat, sc.initial_cog, dist)
+            d, _ = great_circle_inverse(GeoPoint(*truth.state[i, :2]), GeoPoint(*expect))
             assert d < 1e-3
 
     def test_noiseless_straight_speed_constant(self):
@@ -55,14 +61,20 @@ class TestTruthGeneration:
         assert np.allclose(truth.state[:, 2], 5.5, atol=0.0)
 
     def test_course_carried_as_arrival_bearing(self):
-        # on a noiseless straight leg the recorded course at step k equals the
-        # arrival bearing of the step before it
-        truth = generate_truth(noiseless(straight_scenario(cog=63.0)))
-        for i in (1, 100, 400):
-            p_prev = GeoPoint(*truth.state[i - 1, :2])
-            p_cur = GeoPoint(*truth.state[i, :2])
-            arrival = great_circle_final_bearing(p_prev, p_cur)
-            assert truth.state[i, 3] == pytest.approx(arrival, abs=1e-9)
+        # on a noiseless straight leg the recorded course at every step is the
+        # arrival bearing of the start's great circle: continued for 1000 km
+        # along it, every step stays on that great circle
+        sc = noiseless(straight_scenario(cog=63.0))
+        truth = generate_truth(sc)
+        far = unit_vector(*propagate_sphere_arrays(
+            truth.state[:, 0], truth.state[:, 1], truth.state[:, 3], 1e6))
+        # the unit normal of the great circle leaving the start at the initial course
+        start = unit_vector(sc.start.lon, sc.start.lat)
+        east = np.array([-np.sin(np.radians(sc.start.lon)), np.cos(np.radians(sc.start.lon)), 0.0])
+        cog = np.radians(sc.initial_cog)
+        normal = np.cross(start, np.cos(cog) * np.cross(start, east) + np.sin(cog) * east)
+        cross_track_m = MEAN_EARTH_RADIUS_M * np.abs(np.arcsin(normal @ far))
+        assert cross_track_m.max() < 1e-6
 
     def test_half_turn_reverses_course(self):
         # 180 deg at 1 deg/s: the final course is the initial course + 180

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geotrack.geodesy import GeoPoint, great_circle_inverse, propagate_sphere
+from geotrack.geodesy import GeoPoint, great_circle_inverse, propagate_sphere_arrays
 from geotrack.noise import build_process_noise, default_measurement_noise
 from geotrack.ukf import (
     FactorizationFailure,
@@ -124,10 +124,10 @@ class TestPredict:
         mean, out_cov = predict_arrays(b.mean.as_vector(), cov, 6.0, np.zeros((4, 4)))
 
         # mean of a tight prior must track the deterministic propagation
-        det = propagate_sphere(GeoPoint(-70.8, 42.2), 63.0, 42.0)
-        dist_m = math.hypot((mean[1] - det.lat) * 111319.5,
-                            (mean[0] - det.lon) * 111319.5
-                            * math.cos(math.radians(det.lat)))
+        det_lon, det_lat = propagate_sphere_arrays(-70.8, 42.2, 63.0, 42.0)
+        dist_m = math.hypot((mean[1] - det_lat) * 111319.5,
+                            (mean[0] - det_lon) * 111319.5
+                            * math.cos(math.radians(det_lat)))
         assert dist_m < 0.1
 
         rng = np.random.default_rng(123)

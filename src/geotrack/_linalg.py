@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geodesy import GeotrackError
+
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix or of each matrix in a stack."""
@@ -25,7 +27,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return sym
 
 
-class SingularInnovation(RuntimeError):
+class SingularInnovation(GeotrackError):
     """Innovation covariance not invertible (degenerate measurement noise)."""
 
 

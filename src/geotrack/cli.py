@@ -1,31 +1,28 @@
 """Command-line entry point: decode, track, simulate, and study subcommands.
 
-All outputs are header-first CSV; diagnostics go to stderr.  Exit codes:
-0 success, 1 usage error, 2 input error, 3 numerical failure.
+All outputs are header-first CSV; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import ais, geodesy, noise, sim
-from ._linalg import SingularInnovation
 from .ais import DynamicAisReport, StreamCounters
 from .tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable, replay, timed_reports
-from .ukf import FactorizationFailure
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
+EXIT_OK, EXIT_USAGE, EXIT_INPUT = 0, 1, 2
+EXIT_NUMERIC = geodesy.GeotrackError.exit_code
 
 
 # AIS reports arrive at most every 2 s; a faster replay clock only repeats
@@ -33,12 +30,13 @@ EXIT_NUMERIC = 3
 MAX_RATE_HZ = 100.0
 
 
-class UsageError(Exception):
-    pass
+class UsageError(geodesy.GeotrackError):
+    exit_code, label = EXIT_USAGE, "usage error"
 
 
-class InputError(Exception):
+class InputError(geodesy.GeotrackError):
     """Input that can be read but not understood."""
+    exit_code, label = EXIT_INPUT, "input error"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,16 +70,28 @@ _seed.__name__ = "int"  # argparse names it in "invalid int value"
 
 def _open_input(path: str):
     # a byte that is not UTF-8 reads as a lone surrogate: a malformed line
-    if path == "-":
+    if path == "-":  # stdin outlives the run, so it is not closed
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-        return sys.stdin
+        return contextlib.nullcontext(sys.stdin)
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
+@contextlib.contextmanager
 def _open_output(path: str):
-    if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+    if path != "-":
+        with open(path, "w", encoding="utf-8", newline="") as dst:
+            yield dst
+        return
+    try:  # stdout outlives the run, so it is flushed, not closed
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): stdout now writes to devnull, so
+        # that the interpreter's last flush of it cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 _DECODE_CSV_COLUMNS = ["kind", "mmsi", "msg_type", "lon_deg", "lat_deg", "sog_mps",
@@ -145,7 +155,8 @@ def cmd_track(args) -> int:
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} tracks={len(table.rows)} "
           f"stale_drops={table.stale_drops} skipped={table.skipped_reports} "
-          f"retired={table.retired} timed_out={table.timed_out}", file=sys.stderr)
+          f"retired={table.retired} timed_out={table.timed_out} "
+          f"clock_resets={table.clock_resets}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -159,9 +170,11 @@ def cmd_simulate(args) -> int:
         scenario = sim.boston_departure_scenario()
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    # a filter that overflows fails at once, as FloatingPointError (exit 3)
-    with np.errstate(over="raise", invalid="raise"):
-        run = sim.run_comparison(scenario)
+    try:  # a filter that overflows fails at once, as a numerical failure
+        with np.errstate(over="raise", invalid="raise"):
+            run = sim.run_comparison(scenario)
+    except FloatingPointError as exc:
+        raise geodesy.GeotrackError(exc) from exc
 
     truth, ukf, ekf = run.truth, run.ukf, run.ekf
     rows = np.column_stack([truth.t, truth.state, ukf.est, ekf.est, ukf.err_pos_m,
@@ -240,12 +253,11 @@ def cmd_study(args) -> int:
                     dst.write(",".join(map(repr, row.tolist())) + "\n")
         elif args.kind == "plane-error":
             dst.write("L1_m,L2_m,gamma_rad,delta_L_m,delta_s_m,epsilon_m\n")
-            radii = np.linspace(0.0, args.max_distance, args.grid)
-            gammas = np.linspace(0.0, math.pi, args.grid)
+            radii = np.linspace(0.0, args.max_distance, args.grid).tolist()
+            gammas = np.linspace(0.0, math.pi, args.grid).tolist()
             for l1, l2, gamma in itertools.product(radii, radii, gammas):
-                dl, ds, eps = geodesy.tangent_plane_separation_error(
-                    float(l1), float(l2), float(gamma))
-                dst.write(",".join(repr(float(v)) for v in (l1, l2, gamma, dl, ds, eps)) + "\n")
+                errors = geodesy.tangent_plane_separation_error(l1, l2, gamma)
+                dst.write(",".join(map(repr, (l1, l2, gamma, *errors))) + "\n")
         else:  # wave-table
             dst.write("beaufort,Hs_m,Tp_s,zeta_m,umax_mps\n")
             for scale, hs, tp in noise.BEAUFORT_SEA_STATES:
@@ -296,16 +308,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InputError, OSError) as exc:
+    except geodesy.GeotrackError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # the run ends where the reader left
+            return EXIT_OK
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (geodesy.DomainError, geodesy.NonConvergenceError, FactorizationFailure,
-            SingularInnovation, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -20,11 +20,16 @@ VINCENTY_TOL_RAD = 1e-12
 VINCENTY_MAX_ITER = 200
 
 
-class DomainError(ValueError):
+class GeotrackError(Exception):
+    """A failure that ends a run: one ``label: message`` line, then ``exit_code``."""
+    exit_code, label = 3, "numerical failure"  # cli.EXIT_NUMERIC
+
+
+class DomainError(GeotrackError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(GeotrackError):
     """Iterative geodesic solution failed to converge (near-antipodal input)."""
 
 

@@ -48,6 +48,7 @@ class TrackTable:
         self.skipped_reports = 0
         self.retired = 0  # after a failed filter step
         self.timed_out = 0  # silent for longer than stale_timeout
+        self.clock_resets = 0  # backward clock jumps that started a new epoch
 
     def _new_row(self) -> int:
         if not self._free:  # double the capacity
@@ -196,11 +197,19 @@ def replay(reports, table: TrackTable):
     for each tick k of ``filter_rate_hz``: ``tick``'s rows, read before the
     next resume. Each tick at or before a report's time is taken before the
     report is ingested; while no track is live the clock jumps to the last such
-    tick. The reports after the last tick are fused when the reports end."""
+    tick. A report more than ``stale_timeout`` before the last tick taken is a
+    backward clock jump: it starts a new epoch, in which every track is timed
+    out and the clock restarts at the report. The reports after the last tick
+    are fused when the reports end."""
     rate = table.filter_rate_hz
     k = None  # index of the next tick
     for t, report in reports:
         last = math.floor(t * rate)  # the last tick at or before t
+        if k is not None and t < (k - 1) / rate - table.stale_timeout:
+            # the clock could never tick or time out a track behind it
+            table.tick(math.inf)  # fuses the queue, then times out every track
+            table.clock_resets += 1
+            k = None
         k = last if k is None else k
         while k <= last:
             if not table.rows:  # nothing to predict: jump to the last tick

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import masked_joseph_update, project_psd, symmetrize
-from .geodesy import normalize_lon, propagate_sphere_arrays, wrap_bearing
+from .geodesy import GeotrackError, normalize_lon, propagate_sphere_arrays, wrap_bearing
 from .noise import build_process_noise, default_measurement_noise
 
 N_STATES = 4
@@ -32,7 +32,7 @@ MEASUREMENT_NOISE = default_measurement_noise()
 MEASUREMENT_NOISE.flags.writeable = False
 
 
-class FactorizationFailure(RuntimeError):
+class FactorizationFailure(GeotrackError):
     """Covariance that cannot be factored because it is not finite."""
 
 

@@ -2,22 +2,27 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import make_ais_corpus as enc
 from geotrack import cli
 from geotrack.ais import DynamicAisReport, StaticAisReport, decode_lines
 from geotrack.cli import (_DECODE_CSV_COLUMNS, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK,
                           EXIT_USAGE, _csv_row, main, sphere_error_rows)
+from geotrack.geodesy import GeotrackError
 from geotrack.tracker import TrackTable
 from conftest import DATA_DIR
 
 CORPUS = os.path.join(DATA_DIR, "ais_corpus.nmea")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(DATA_DIR))), "src")
 
 
 def run_cli(argv, capsys):
@@ -99,7 +104,7 @@ class TestDecode:
         code, _, _ = run_cli(["decode", "-i", CORPUS, "-o", str(out),
                               "--format", "jsonl"], capsys)
         assert code == EXIT_OK
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 525
         assert all("mmsi" in r for r in records)
 
@@ -130,7 +135,7 @@ class TestDecode:
         with open(CORPUS) as fh:
             reports = [r for _, r in decode_lines(fh)]
         assert {type(r) for r in reports} == {DynamicAisReport, StaticAisReport}
-        records = [json.loads(line) for line in open(out)]
+        records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == len(reports)
         # a record holds its kind's columns, in CSV column order
         kind_columns = {"dynamic": _DECODE_CSV_COLUMNS[:9],
@@ -186,11 +191,6 @@ class TestDecode:
                                 "-o", str(tmp_path / f"{command}.out")], capsys)
         assert code == EXIT_OK
         assert err.split()[:3] == ["lines=4", "decoded=2", "malformed=2"]
-
-    def test_missing_input_file(self, capsys):
-        code, _, err = run_cli(["decode", "-i", "/nonexistent/file.nmea"], capsys)
-        assert code == EXIT_INPUT
-        assert "input error" in err
 
 
 class TestTrack:
@@ -248,7 +248,8 @@ class TestTrack:
         code, _, err = untimed_corpus_track
         assert code == EXIT_OK
         assert err.splitlines()[-1] == ("lines=534 decoded=525 malformed=3 tracks=8 "
-                                        "stale_drops=0 skipped=0 retired=0 timed_out=5")
+                                        "stale_drops=0 skipped=0 retired=0 timed_out=5 "
+                                        "clock_resets=0")
 
     def test_failed_track_is_retired_not_fatal(self, tmp_path, capsys, monkeypatch):
         ingest = TrackTable.ingest
@@ -282,7 +283,8 @@ class TestTrack:
         code, _, err = run_cli(["track", "-i", str(stream), "-o", str(out)], capsys)
         assert code == EXIT_OK
         assert err.splitlines() == ["lines=5 decoded=2 malformed=3 tracks=1 "
-                                    "stale_drops=0 skipped=0 retired=0 timed_out=0"]
+                                    "stale_drops=0 skipped=0 retired=0 timed_out=0 "
+                                    "clock_resets=0"]
 
     def test_sidecar_time_too_large_to_step_is_malformed(self, tmp_path, capsys):
         # epoch nanoseconds: there a 1 s tick step is below half the float
@@ -295,7 +297,8 @@ class TestTrack:
         assert code == EXIT_OK
         assert out.read_text() == "t,mmsi,lon_deg,lat_deg,sog_mps,cog_deg,p_trace\n"
         assert err.splitlines() == ["lines=2 decoded=0 malformed=2 tracks=0 "
-                                    "stale_drops=0 skipped=0 retired=0 timed_out=0"]
+                                    "stale_drops=0 skipped=0 retired=0 timed_out=0 "
+                                    "clock_resets=0"]
 
     def test_synthetic_timestamps(self, untimed_corpus_track):
         code, rows, _ = untimed_corpus_track
@@ -483,11 +486,170 @@ class TestUsage:
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: ")
 
-    def test_no_command(self, capsys):
-        code, _, err = run_cli([], capsys)
-        assert code == EXIT_USAGE
-        assert "usage error" in err
 
-    def test_bad_study_kind(self, capsys):
-        code, _, _ = run_cli(["study", "warp-field"], capsys)
-        assert code == EXIT_USAGE
+SCN = "start_lon = -71.0\nstart_lat = 42.3\n"
+SIMULATE = ["simulate", "--scenario", "{scn}"]
+USAGE, INPUT, NUMERIC = ((EXIT_USAGE, "usage error"), (EXIT_INPUT, "input error"),
+                         (EXIT_NUMERIC, "numerical failure"))
+
+# Every exit code and example that README's "Exit codes" names: the arguments
+# before ``-o``, the text of the scenario file that "{scn}" names (or None),
+# and the exit code and stderr label of the run.
+EXIT_CASES = {
+    "success": (["study", "wave-table"], None, (EXIT_OK, None)),
+    "no-command": ([], None, USAGE),
+    "unknown-study": (["study", "warp-field"], None, USAGE),
+    "rate-not-positive": (["track", "-i", CORPUS, "--rate", "0"], None, USAGE),
+    "rate-above-100": (["track", "-i", CORPUS, "--rate", "101"], None, USAGE),
+    "stale-timeout-not-finite": (["track", "-i", CORPUS, "--stale-timeout", "inf"], None,
+                                 USAGE),
+    "samples-not-positive": (["study", "sphere-error", "--samples", "0"], None, USAGE),
+    "grid-not-positive": (["study", "plane-error", "--grid", "-2"], None, USAGE),
+    "max-distance-not-finite": (["study", "sphere-error", "--max-distance", "nan"], None,
+                                USAGE),
+    "plane-error-beyond-earth-radius": (["study", "plane-error", "--max-distance",
+                                         "6.371e6"], None, USAGE),
+    "sphere-error-below-1m": (["study", "sphere-error", "--max-distance", "0.5"], None,
+                              USAGE),
+    "simulate-negative-seed": (["simulate", "--seed", "-1"], None, USAGE),
+    "study-fractional-seed": (["study", "sphere-error", "--seed", "1.5"], None, USAGE),
+    "missing-input-file": (["decode", "-i", "/nonexistent/file.nmea"], None, INPUT),
+    "unreadable-scenario": (["simulate", "--scenario", "/nonexistent/file.scn"], None,
+                            INPUT),
+    "empty-scenario-path": (["simulate", "--scenario", ""], None, INPUT),
+    "scenario-not-key-value": (SIMULATE, "garbage\n", INPUT),
+    "scenario-unknown-key": (SIMULATE, SCN + "sed = 4\n[segments]\nstraight 60 7\n", INPUT),
+    "scenario-no-segments": (SIMULATE, SCN, INPUT),
+    "scenario-no-start-lat": (SIMULATE, "start_lon = -71.0\n[segments]\nstraight 60 7\n",
+                              INPUT),
+    "scenario-unknown-segment-kind": (SIMULATE, SCN + "[segments]\nwarp 60 7\n", INPUT),
+    "scenario-straight-with-rate": (SIMULATE, SCN + "[segments]\nstraight 10 5 3.0\n",
+                                    INPUT),
+    "scenario-turn-without-rate": (SIMULATE, SCN + "[segments]\nturn 10 5 -\n", INPUT),
+    "scenario-latitude-95": (SIMULATE, "start_lon = -71.0\nstart_lat = 95\n"
+                             "[segments]\nstraight 60 7\n", INPUT),
+    "scenario-value-not-finite": (SIMULATE, SCN + "[segments]\nstraight 60 nan\n", INPUT),
+    "scenario-negative-noise": (SIMULATE, SCN + "sog_noise = -0.1\n[segments]\n"
+                                "straight 60 7\n", INPUT),
+    "scenario-fractional-seed": (SIMULATE, SCN + "seed = 2.7\n[segments]\nstraight 60 7\n",
+                                 INPUT),
+    "scenario-shorter-than-one-step": (SIMULATE, SCN + "[segments]\nstraight 0.5 7\n",
+                                       INPUT),
+    "scenario-too-many-steps": (SIMULATE, SCN + "truth_rate_hz = 1e300\n[segments]\n"
+                                "straight 60 7\n", INPUT),
+    "scenario-interval-off-the-truth-grid": (SIMULATE, SCN + "ais_interval = 2.5\n"
+                                             "[segments]\nstraight 60 7\n", INPUT),
+    "filter-passes-the-earths-limb": (SIMULATE, SCN + "[segments]\nstraight 60 1e100\n",
+                                      NUMERIC),
+    "filter-overflows": (SIMULATE, SCN + "[segments]\nstraight 10 1e200\n", NUMERIC),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name", list(EXIT_CASES))
+    def test_exit_code_and_stderr_line(self, name, tmp_path, capsys):
+        """A failed run prints one ``label: message`` line, exits with its
+        code and writes no output file; a run that succeeds prints nothing."""
+        argv, scenario, (want_code, label) = EXIT_CASES[name]
+        scn, out = tmp_path / "case.scn", tmp_path / "out.csv"
+        if scenario is not None:
+            scn.write_text(scenario)
+        argv = [str(scn) if arg == "{scn}" else arg for arg in argv]
+        code, _, err = run_cli(argv + ["-o", str(out)] if argv else argv, capsys)
+        assert code == want_code
+        if label is None:
+            assert err == "" and out.exists()
+        else:
+            assert len(err.splitlines()) == 1 and err.startswith(f"{label}: ")
+            assert not out.exists()
+
+    def test_every_failure_exit_code_is_named_by_its_class(self):
+        assert (cli.UsageError.exit_code, cli.InputError.exit_code,
+                GeotrackError.exit_code) == (EXIT_USAGE, EXIT_INPUT, EXIT_NUMERIC)
+        assert {label for _, _, (_, label) in EXIT_CASES.values()} == {
+            None, cli.UsageError.label, cli.InputError.label, GeotrackError.label}
+
+    def test_reader_that_leaves_early_ends_the_run_quietly(self):
+        """``geotrack ... | head -2``: exit 0, and nothing on stderr, not even
+        from the interpreter's last flush of stdout."""
+        argv = [sys.executable, "-m", "geotrack.cli", "study", "sphere-error",
+                "--samples", "20000"]  # 1.9 MB, far more than a pipe holds
+        env = dict(os.environ, PYTHONPATH=SRC)
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline().startswith(b"lat_deg,")
+            proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+
+
+class TestStandardStreams:
+    def test_stdout_stays_open_for_the_next_run(self, capsys):
+        for _ in range(2):
+            code, out, err = run_cli(["study", "wave-table", "-o", "-"], capsys)
+            assert (code, err) == (EXIT_OK, "")
+            assert out.startswith("beaufort,Hs_m,Tp_s,zeta_m,umax_mps\n4,")
+
+    def test_stdin_stays_open_for_the_next_run(self, capsys, monkeypatch):
+        with open(CORPUS, "rb") as fh:
+            feed = fh.read()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(feed), encoding="utf-8"))
+        summaries = [run_cli(["decode", "-i", "-", "-o", "-"], capsys)[2] for _ in range(2)]
+        # the first run reads the whole feed, and the second finds stdin at its end
+        assert summaries == ["lines=534 decoded=525 malformed=3 unsupported=1\n",
+                             "lines=0 decoded=0 malformed=0 unsupported=0\n"]
+
+
+# One encoded report of a feed: the step of the feed clock (none, a short step,
+# a gap past the stale timeout, or back in time by less or more than it), whether
+# the line carries that time, and the raw fields the decoder reads: positions
+# at the poles, at the dateline or not available, any SOG, COG and heading.
+_RAW_POSITION = st.tuples(
+    st.sampled_from((-180, 180, 181)) | st.integers(-180, 180),
+    st.sampled_from((-90, 90, 91)) | st.integers(-90, 90)).map(
+        lambda deg: (deg[0] * 600000, deg[1] * 600000)) | st.tuples(
+    st.integers(-108000000, 108000000), st.integers(-54000000, 54000000))
+_FEED_ENTRY = st.tuples(
+    st.sampled_from((0.0,)) | st.floats(0.0, 3.0) | st.floats(25.0, 400.0)
+    | st.floats(-15.0, 0.0) | st.floats(-3000.0, -25.0),
+    st.booleans(),
+    st.sampled_from((211234560, 244660000, 366999784, 538001234)),
+    st.sampled_from((1, 3, 18)),
+    _RAW_POSITION,
+    st.integers(0, 1023), st.integers(0, 4095), st.sampled_from((0, 359, 511)))
+
+
+@settings(max_examples=25)
+@given(entries=st.lists(_FEED_ENTRY, max_size=16), duplicate=st.booleans())
+def test_encoded_feed_runs_the_whole_path(tmp_path_factory, entries, duplicate):
+    """Encoded reports, decoded and replayed to CSV by ``track``, and decoded by
+    ``decode``: every run exits 0 with its one summary line, and every track
+    row holds a finite belief off the poles."""
+    clock, lines = 1000.0, []
+    for step, timed, mmsi, msg_type, (lon, lat), sog, cog, heading in entries:
+        clock += step
+        if msg_type == 18:
+            bits = enc.encode_class_b(mmsi, sog, lon, lat, cog, heading, 60)
+        else:
+            bits = enc.encode_class_a(msg_type, mmsi, sog, lon, lat, cog, heading, 60)
+        payload, fill = enc.armor_bits(bits)
+        line = enc.sentence(1, 1, None, "A", payload, fill)
+        lines.append(f"{clock!r},{line}\n" if timed else line + "\n")
+    if duplicate and lines:
+        lines.append(lines[-1])
+    work = tmp_path_factory.mktemp("feed")
+    feed, out = work / "feed.nmea", work / "out.csv"
+    feed.write_text("".join(lines))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["track", "-i", str(feed), "-o", str(out), "--stale-timeout", "20"]) == EXIT_OK
+        assert main(["decode", "-i", str(feed), "-o", os.devnull]) == EXIT_OK
+    track_summary, decode_summary = err.getvalue().splitlines()
+    assert track_summary.startswith(f"lines={len(lines)} decoded={len(lines)} malformed=0 ")
+    assert decode_summary == f"lines={len(lines)} decoded={len(lines)} malformed=0 unsupported=0"
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        belief = [float(row[c]) for c in ("lon_deg", "lat_deg", "sog_mps", "cog_deg", "p_trace")]
+        assert all(map(math.isfinite, belief)) and abs(belief[1]) < 90.0, row

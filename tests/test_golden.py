@@ -67,6 +67,7 @@ def test_track_output_matches_its_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", list(regen.CLI_CASES))
 def test_output_matches_its_golden(name, tmp_path):
-    """``simulate`` on Boston, ``decode`` of the corpus to CSV and JSONL, and a
-    small ``study sphere-error``."""
+    """``simulate`` on Boston and on a two-leg lawnmower file, ``decode`` of the
+    corpus to CSV and JSONL, a small ``study sphere-error``, and ``track`` on a
+    small harbour feed."""
     check_golden(name, tmp_path)

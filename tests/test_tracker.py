@@ -467,6 +467,45 @@ class TestReplay:
         t_tick, rows = next(replay(timed_reports(feed(), StreamCounters()), TrackTable()))
         assert (t_tick, len(rows), pulled) == (0.0, 0, [0])
 
+    def test_backward_clock_jump_starts_a_new_epoch(self, monkeypatch):
+        """Vessel X far ahead on the clock, then vessel Y at 0 and at g: a track
+        born behind the clock must not be predicted across the whole gap g."""
+        predict, calls = GeodeticUkf.predict, []
+
+        def counted_predict(filt, dt):
+            calls.append(dt)
+            if len(calls) > 1000:
+                raise AssertionError("the predicts are not bounded by the stale timeout")
+            predict(filt, dt)
+
+        monkeypatch.setattr(GeodeticUkf, "predict", counted_predict)
+        g, x, y = 1e6, 366999784, 211234560
+        reports = [(2 * g + 1000, report(x, -70.9, 42.0)), (0.0, report(y, -70.9, 42.1)),
+                   (g, report(y, -70.9, 42.1))]
+        table = TrackTable()
+        ticks = [(t, table.mmsi[rows].tolist()) for t, rows in replay(reports, table)]
+        # X is timed out by the jump to 0, where the clock restarts; Y is
+        # ticked until it goes stale, and the clock then jumps to g
+        assert ticks == ([(2 * g + 1000, []), (0.0, [])]
+                         + [(float(k), [y]) for k in range(1, 181)] + [(181.0, []), (g, [])])
+        assert (table.clock_resets, table.timed_out, list(table.rows)) == (1, 2, [y])
+
+    def test_vessel_first_seen_after_a_clock_jump_is_ticked(self):
+        # 100 corpus lines at 1000-1099 s, then 100 at 0-99 s (a receiver
+        # restart) with a new vessel at 20 s and 60 s
+        with open(CORPUS, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        feed = [f"{1000.0 + i},{ln}\n" for i, ln in enumerate(lines[:100])]
+        after = [f"{float(i)},{ln}\n" for i, ln in enumerate(lines[100:200])]
+        after[21:21] = [nmea_line(20.0, 538001234, 42.0)]
+        after[62:62] = [nmea_line(60.0, 538001234, 42.001)]
+        table = TrackTable()
+        seen = [t for t, rows in replay(timed_reports(feed + after, StreamCounters()), table)
+                if 538001234 in table.mmsi[rows]]
+        assert seen == [float(k) for k in range(21, 100)]
+        # the 8 tracks from before the jump are timed out by it
+        assert (table.clock_resets, table.timed_out) == (1, 8)
+
     def test_untimed_track_is_born_again_only_after_a_timeout(self, monkeypatch):
         # each vessel's synthetic clock keeps up with the busiest vessel's, so
         # a track ends only when its vessel has been silent past the timeout

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ais, geodesy, noise, sim
 from .ais import DynamicAisReport, StreamCounters
-from .tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable, replay, timed_reports
+from .tracker import DEFAULT_STALE_TIMEOUT_S, TrackTable, replay
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT = 0, 1, 2
 EXIT_NUMERIC = geodesy.GeotrackError.exit_code
@@ -144,7 +144,7 @@ def cmd_track(args) -> int:
     table = TrackTable(filter_rate_hz=args.rate, stale_timeout=args.stale_timeout)
     with _open_input(args.input) as src, _open_output(args.output) as dst:
         dst.write("t,mmsi,lon_deg,lat_deg,sog_mps,cog_deg,p_trace\n")
-        for t_tick, rows in replay(timed_reports(src, counters), table):
+        for t_tick, rows in replay(ais.decode_lines(src, counters), table):
             stamp = repr(t_tick)  # every row of a tick carries its time
             p_trace = np.trace(table.filt.cov[rows], axis1=-2, axis2=-1)
             dst.writelines(f"{stamp},{mmsi},{lon!r},{lat!r},{sog!r},{cog!r},{p!r}\n"

@@ -1,7 +1,8 @@
 """Per-MMSI track management over one stacked filter: reports are queued as
 they arrive and fused at the next tick or ``fuse()``, and every track step, to
 a report or to a tick, is one stacked call for all the tracks that take it.
-``replay`` drives a table on its tick clock through ``timed_reports``."""
+``replay`` drives a table through a feed's reports on one clock: it gives each
+report its time and takes the ticks."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from .ais import DynamicAisReport, StreamCounters, decode_lines
+from .ais import DynamicAisReport
 from .ukf import INITIAL_COV, GeodeticUkf, Measurement, normalize_state
 
 DEFAULT_STALE_TIMEOUT_S = 180.0  # longest Class A reporting interval (anchored)
@@ -24,11 +25,12 @@ class TrackTable:
 
     Row i of the stacked filter ``filt`` and of ``mmsi``, ``last_seen`` (the
     latest report time) and ``live`` is one track; ``rows`` maps an MMSI to
-    its row, and a freed row is reused. ``ingest`` queues a report, and the
-    queue is fused at the next ``tick`` or ``fuse()``. Callers serialize ``ingest``,
-    ``tick`` and ``fuse``; tracks are mutually independent, and one whose
-    belief goes non-finite or polar is retired and counted before a filter
-    step takes it, so rows are freed only inside ``tick`` and ``fuse``.
+    its row, and a new track takes the lowest row not ``live``. ``ingest``
+    queues a report, and the queue is fused at the next ``tick`` or
+    ``fuse()``. Callers serialize ``ingest``, ``tick`` and ``fuse``; tracks are
+    mutually independent, and one whose belief goes non-finite or polar is
+    retired and counted before a filter step takes it, so rows are freed only
+    inside ``tick`` and ``fuse``.
     """
 
     def __init__(self, filter_rate_hz: float = 1.0,
@@ -42,7 +44,6 @@ class TrackTable:
         self.last_seen = np.zeros(0)
         self.live = np.zeros(0, dtype=bool)
         self.rows: dict[int, int] = {}
-        self._free: list[int] = []
         self._queue: list[tuple] = []  # (row, t, lon, lat, sog, cog); None if missing
         self.stale_drops = 0
         self.skipped_reports = 0
@@ -51,7 +52,7 @@ class TrackTable:
         self.clock_resets = 0  # backward clock jumps that started a new epoch
 
     def _new_row(self) -> int:
-        if not self._free:  # double the capacity
+        if len(self.rows) == len(self.live):  # every row is live: double them
             n = len(self.live)
             grow = max(n, 16)
 
@@ -61,14 +62,12 @@ class TrackTable:
             filt.mean, filt.cov, filt.time = pad(filt.mean), pad(filt.cov), pad(filt.time)
             self.mmsi, self.last_seen = pad(self.mmsi), pad(self.last_seen)
             self.live = pad(self.live)
-            self._free = list(range(n + grow - 1, n - 1, -1))
-        return self._free.pop()
+        return int(np.argmin(self.live))
 
     def _drop(self, rows: list[int]) -> None:
         for row in rows:
             del self.rows[int(self.mmsi[row])]
         self.live[rows] = False
-        self._free.extend(rows)
 
     def _retire_unhealthy(self, rows: np.ndarray) -> np.ndarray:
         """Retire the rows whose belief a filter step cannot take (not finite,
@@ -175,41 +174,36 @@ class TrackTable:
         return rows[np.argsort(self.mmsi[rows])]
 
 
-def timed_reports(lines, counters: StreamCounters):
-    """Yield (t, report) pairs as the lines arrive; t is the sidecar time, else
-    a per-MMSI synthetic clock that advances by ``_SYNTHETIC_INTERVAL_S`` and
-    never runs behind the latest time already given out."""
-    synthetic_clock: dict[int, float] = {}
-    latest = -math.inf
-    for t, report in decode_lines(lines, counters):
-        if not isinstance(report, DynamicAisReport):
-            continue
-        if t is None:
-            interval = _SYNTHETIC_INTERVAL_S.get(report.msg_type, 10.0)
-            t = max(synthetic_clock.get(report.mmsi, -interval) + interval, latest)
-        synthetic_clock[report.mmsi] = t
-        latest = max(latest, t)
-        yield t, report
-
-
 def replay(reports, table: TrackTable):
-    """Drive ``table`` through (t, report) pairs, yielding ``(k / rate, rows)``
-    for each tick k of ``filter_rate_hz``: ``tick``'s rows, read before the
-    next resume. Each tick at or before a report's time is taken before the
-    report is ingested; while no track is live the clock jumps to the last such
-    tick. A report more than ``stale_timeout`` before the last tick taken is a
-    backward clock jump: it starts a new epoch, in which every track is timed
-    out and the clock restarts at the report. The reports after the last tick
-    are fused when the reports end."""
+    """Drive ``table`` through the (t, report) pairs of ``ais.decode_lines``,
+    yielding ``(k / rate, rows)`` for each tick k of ``filter_rate_hz``:
+    ``tick``'s rows, read before the next resume. Static reports are skipped.
+    A report with t None is stamped by its vessel's synthetic clock, which
+    advances by ``_SYNTHETIC_INTERVAL_S`` and never runs behind the latest time
+    already given out. Each tick at or before a report's time is taken before
+    the report is ingested; while no track is live the clock jumps to the last
+    such tick. A report more than ``stale_timeout`` before the last tick taken
+    is a backward clock jump: it starts a new epoch, in which every track is
+    timed out and every clock restarts at the report. The reports after the
+    last tick are fused when the reports end."""
     rate = table.filter_rate_hz
     k = None  # index of the next tick
+    synthetic_clock: dict[int, float] = {}
+    latest = -math.inf
     for t, report in reports:
-        last = math.floor(t * rate)  # the last tick at or before t
-        if k is not None and t < (k - 1) / rate - table.stale_timeout:
+        if not isinstance(report, DynamicAisReport):
+            continue
+        if t is None:  # never behind the last tick taken, so never a jump
+            interval = _SYNTHETIC_INTERVAL_S.get(report.msg_type, 10.0)
+            t = max(synthetic_clock.get(report.mmsi, -interval) + interval, latest)
+        elif k is not None and t < (k - 1) / rate - table.stale_timeout:
             # the clock could never tick or time out a track behind it
             table.tick(math.inf)  # fuses the queue, then times out every track
             table.clock_resets += 1
-            k = None
+            k, synthetic_clock, latest = None, {}, -math.inf
+        synthetic_clock[report.mmsi] = t
+        latest = max(latest, t)
+        last = math.floor(t * rate)  # the last tick at or before t
         k = last if k is None else k
         while k <= last:
             if not table.rows:  # nothing to predict: jump to the last tick

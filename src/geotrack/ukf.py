@@ -180,7 +180,7 @@ def update_arrays(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, mask: np.nda
     """Joseph-form linear update of a stack of beliefs, each with its own
     masked report; masked fields carry zero residual."""
     y = z - mean
-    y[..., ::3] = wrap_residual(0.0, y[..., ::3])  # lon and COG
+    y[..., ::3] = normalize_lon(y[..., ::3])  # lon and COG
     dx, p_post = masked_joseph_update(symmetrize(cov), y, mask, r)
     return normalize_state(mean + dx), p_post
 

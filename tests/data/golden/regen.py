@@ -8,9 +8,10 @@ the Boston scenario and on a two-leg lawnmower file written by
 ``sim.format_scenario``, ``decode`` of the whole corpus to CSV and to JSONL, a
 small ``study sphere-error``, and ``track`` on a small harbour feed of
 ``perfbench/feeds.py`` (dateline crossings, a positionless first report, a
-masked field, type 5 fragments and a garbage line). Every case keeps its
-output and its stderr. Run from the repository root, only after a change that
-is meant to move the outputs:
+masked field, type 5 fragments and a garbage line), and ``track`` on six
+corpus lines that mix sidecar times and untimed lines across a backward clock
+jump. Every case keeps its output and its stderr. Run from the repository
+root, only after a change that is meant to move the outputs:
 
     PYTHONPATH=src python3 tests/data/golden/regen.py
 """
@@ -38,6 +39,18 @@ TRACK_CASES = {f"track-{feed}-rate{rate}": (feed, rate)
                for feed in ("plain", "timed") for rate in RATES}
 
 
+def corpus_lines(count: int) -> list[str]:
+    with open(CORPUS, encoding="utf-8") as fh:
+        return [next(fh) for _ in range(count)]
+
+
+def mixed_clock_jump_text() -> str:
+    """Six single-sentence corpus position reports at 1000 s, 0 s, untimed,
+    5 s, untimed and 10 s: one backward clock jump in a mixed feed."""
+    stamps = ("1000,", "0,", "", "5,", "", "10,")
+    return "".join(stamp + line for stamp, line in zip(stamps, corpus_lines(6)))
+
+
 def harbor_text() -> str:
     return "\n".join(feeds.harbor_feed(21, 5, 40.0).lines) + "\n"
 
@@ -55,12 +68,12 @@ CLI_CASES = {
     "decode-corpus-jsonl": ["decode", "-i", str(CORPUS), "--format", "jsonl"],
     "sphere-error-300": ["study", "sphere-error", "--samples", "300", "--seed", "0"],
     "track-harbor": ["track", "-i", ("harbor.nmea", harbor_text)],
+    "track-mixed-clock-jump": ["track", "-i", ("mixed.nmea", mixed_clock_jump_text)],
 }
 
 
 def feed_text(feed: str) -> str:
-    with open(CORPUS, encoding="utf-8") as fh:
-        lines = [next(fh) for _ in range(CORPUS_LINES)]
+    lines = corpus_lines(CORPUS_LINES)
     if feed == "timed":
         lines = [f"{2.0 * i},{line}" for i, line in enumerate(lines)]
     return "".join(lines)

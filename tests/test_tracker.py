@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import make_ais_corpus as enc
 from geotrack import ukf
-from geotrack.ais import DynamicAisReport, StreamCounters
+from geotrack.ais import DynamicAisReport, StreamCounters, decode_lines
 from geotrack.tracker import (DEFAULT_STALE_TIMEOUT_S, OUT_OF_ORDER_TOLERANCE_S, TrackTable,
-                              replay, timed_reports)
+                              replay)
 from geotrack.ukf import GeodeticUkf, Measurement
 from conftest import DATA_DIR
 
@@ -458,13 +458,8 @@ class TestReplay:
                 pulled.append(t)
                 yield nmea_line(float(t), 366999784, 42.0)
 
-        reports = timed_reports(feed(), StreamCounters())
-        t, first = next(reports)
-        assert (t, first.mmsi) == (0.0, 366999784)
-        assert pulled == [0]
         # the tick before the first report is taken before a second line is read
-        pulled.clear()
-        t_tick, rows = next(replay(timed_reports(feed(), StreamCounters()), TrackTable()))
+        t_tick, rows = next(replay(decode_lines(feed(), StreamCounters()), TrackTable()))
         assert (t_tick, len(rows), pulled) == (0.0, 0, [0])
 
     def test_backward_clock_jump_starts_a_new_epoch(self, monkeypatch):
@@ -500,7 +495,7 @@ class TestReplay:
         after[21:21] = [nmea_line(20.0, 538001234, 42.0)]
         after[62:62] = [nmea_line(60.0, 538001234, 42.001)]
         table = TrackTable()
-        seen = [t for t, rows in replay(timed_reports(feed + after, StreamCounters()), table)
+        seen = [t for t, rows in replay(decode_lines(feed + after, StreamCounters()), table)
                 if 538001234 in table.mmsi[rows]]
         assert seen == [float(k) for k in range(21, 100)]
         # the 8 tracks from before the jump are timed out by it
@@ -519,7 +514,7 @@ class TestReplay:
 
         monkeypatch.setattr(TrackTable, "ingest", recording_ingest)
         with open(CORPUS, encoding="utf-8") as fh:
-            for _ in replay(timed_reports(fh, StreamCounters()), TrackTable()):
+            for _ in replay(decode_lines(fh, StreamCounters()), TrackTable()):
                 pass
         assert [t for _, t, _ in events] == sorted(t for _, t, _ in events)
         last_report, rebirths = {}, []

@@ -12,13 +12,20 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
+class FactorizationFailure(GeotrackError):
+    """Covariance that cannot be factored because it is not finite."""
+
+
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix (Frobenius) of a matrix or of each in a stack.
 
     Eigenvalues are clipped at zero; only the matrices with a negative
-    eigenvalue are decomposed.
+    eigenvalue are decomposed. A stack with a non-finite entry raises
+    ``FactorizationFailure``.
     """
     sym = symmetrize(np.asarray(m, dtype=float))
+    if not np.isfinite(sym).all():
+        raise FactorizationFailure("covariance is not finite")
     neg = np.linalg.eigvalsh(sym)[..., 0] < 0.0
     if np.count_nonzero(neg):
         w, v = np.linalg.eigh(sym[neg])

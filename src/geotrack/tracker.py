@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .ais import DynamicAisReport
-from .ukf import INITIAL_COV, GeodeticUkf, Measurement, normalize_state
+from .ais import MAX_SIDECAR_TIME_S, DynamicAisReport
+from .ukf import GeodeticUkf, Measurement, birth_prior, report_vector
 
 DEFAULT_STALE_TIMEOUT_S = 180.0  # longest Class A reporting interval (anchored)
 OUT_OF_ORDER_TOLERANCE_S = 1.0
@@ -35,16 +35,17 @@ class TrackTable:
 
     def __init__(self, filter_rate_hz: float = 1.0,
                  stale_timeout: float = DEFAULT_STALE_TIMEOUT_S):
-        if filter_rate_hz <= 0:
-            raise ValueError("filter rate must be positive")
+        for name, value in (("filter rate", filter_rate_hz), ("stale timeout", stale_timeout)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.filter_rate_hz = filter_rate_hz
         self.stale_timeout = stale_timeout
-        self.filt = GeodeticUkf(np.zeros((0, 4)), INITIAL_COV)
+        self.filt = GeodeticUkf(np.zeros((0, 4)), np.zeros((0, 4, 4)))
         self.mmsi = np.zeros(0, dtype=np.int64)
         self.last_seen = np.zeros(0)
         self.live = np.zeros(0, dtype=bool)
         self.rows: dict[int, int] = {}
-        self._queue: list[tuple] = []  # (row, t, lon, lat, sog, cog); None if missing
+        self._queue: list[tuple] = []  # (row, t, report_vector)
         self.stale_drops = 0
         self.skipped_reports = 0
         self.retired = 0  # after a failed filter step
@@ -81,25 +82,17 @@ class TrackTable:
         return ok
 
     def ingest(self, report: DynamicAisReport, t: float) -> str:
-        """Route one report and queue its fields for fusion; returns its event
-        kind. A position at a pole is dropped: the longitude process noise is
-        undefined there."""
-        lon, lat = report.lon, report.lat
-        if lat is not None and abs(lat) >= 90.0:
-            lon = lat = None
+        """Route one report and queue its ``ukf.report_vector`` for fusion;
+        returns its event kind. A new track needs a position in that vector."""
+        z = report_vector(report.lon, report.lat, report.sog, report.cog)
         row = self.rows.get(report.mmsi)
         if row is None:
-            if lon is None or lat is None:
-                # cannot seed a position estimate from a positionless report
+            if not np.isfinite(z[:2]).all():
                 self.skipped_reports += 1
                 return "skipped"
             row = self.rows[report.mmsi] = self._new_row()
             self.mmsi[row], self.live[row] = report.mmsi, True
-            # the prior that the queued report is fused into, as in
-            # GeodeticUkf.from_first_measurement
-            prior = np.array([lon, lat, report.sog, report.cog], dtype=float)
-            self.filt.mean[row] = normalize_state(np.where(np.isnan(prior), 0.0, prior))
-            self.filt.cov[row] = INITIAL_COV
+            self.filt.mean[row], self.filt.cov[row] = birth_prior(z)
             self.filt.time[row] = self.last_seen[row] = t
             kind = "created"
         else:
@@ -110,7 +103,7 @@ class TrackTable:
                 return "dropped_stale"
             self.last_seen[row] = max(seen, t)
             kind = "updated"
-        self._queue.append((row, t, lon, lat, report.sog, report.cog))
+        self._queue.append((row, t, z))
         return kind
 
     def _advance(self, rows: np.ndarray, target: np.ndarray) -> None:
@@ -150,13 +143,12 @@ class TrackTable:
             batch = [entry for entry in batch if self.live[entry[0]]]
             if not batch:
                 continue
-            fields = np.array(batch, dtype=float)  # a missing field reads as nan
-            rows = fields[:, 0].astype(np.intp)
-            self._advance(rows, fields[:, 1])
+            rows, times, fields = map(np.array, zip(*batch))
+            self._advance(rows, times)
             z = np.full(self.filt.mean.shape, np.nan)
-            z[rows] = fields[:, 2:]
+            z[rows] = fields
             # a row retired on the way to its report takes no update
-            self.filt.update(Measurement(z, ~np.isnan(z) & self.live[:, None]))
+            self.filt.update(Measurement(z, np.isfinite(z) & self.live[:, None]))
             self._retire_unhealthy(rows[self.live[rows]])
 
     def tick(self, t: float) -> np.ndarray:
@@ -178,7 +170,9 @@ def replay(reports, table: TrackTable):
     """Drive ``table`` through the (t, report) pairs of ``ais.decode_lines``,
     yielding ``(k / rate, rows)`` for each tick k of ``filter_rate_hz``:
     ``tick``'s rows, read before the next resume. Static reports are skipped.
-    A report with t None is stamped by its vessel's synthetic clock, which
+    A report whose t is None, or not a time that the decoder could give (finite
+    and below ``ais.MAX_SIDECAR_TIME_S`` in magnitude, so that every tick step
+    moves the clock), is stamped by its vessel's synthetic clock, which
     advances by ``_SYNTHETIC_INTERVAL_S`` and never runs behind the latest time
     already given out. Each tick at or before a report's time is taken before
     the report is ingested; while no track is live the clock jumps to the last
@@ -193,7 +187,8 @@ def replay(reports, table: TrackTable):
     for t, report in reports:
         if not isinstance(report, DynamicAisReport):
             continue
-        if t is None:  # never behind the last tick taken, so never a jump
+        if t is None or not abs(t) < MAX_SIDECAR_TIME_S:
+            # never behind the last tick taken, so never a jump
             interval = _SYNTHETIC_INTERVAL_S.get(report.msg_type, 10.0)
             t = max(synthetic_clock.get(report.mmsi, -interval) + interval, latest)
         elif k is not None and t < (k - 1) / rate - table.stale_timeout:

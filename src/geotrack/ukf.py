@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import masked_joseph_update, project_psd, symmetrize
-from .geodesy import GeotrackError, normalize_lon, propagate_sphere_arrays, wrap_bearing
+from ._linalg import FactorizationFailure, masked_joseph_update, project_psd, symmetrize
+from .geodesy import normalize_lon, propagate_sphere_arrays, wrap_bearing
 from .noise import build_process_noise, default_measurement_noise
 
 N_STATES = 4
@@ -25,15 +25,10 @@ SIGMA_SCALE = N_STATES / (1.0 - SIGMA_W0)  # 3.0
 SIGMA_WEIGHTS = np.array([SIGMA_W0] + [SIGMA_WI] * (2 * N_STATES))
 SIGMA_WEIGHTS.flags.writeable = False
 
-# Wide-but-proper prior that a new track fuses its first report into.
 INITIAL_COV = np.diag([1e-4 ** 2, 1e-4 ** 2, 1.0 ** 2, 100.0 ** 2])
 
 MEASUREMENT_NOISE = default_measurement_noise()
 MEASUREMENT_NOISE.flags.writeable = False
-
-
-class FactorizationFailure(GeotrackError):
-    """Covariance that cannot be factored because it is not finite."""
 
 
 def wrap_residual(predicted_cog: float, measured_cog: float) -> float:
@@ -88,10 +83,22 @@ class Measurement:
 
     @classmethod
     def from_fields(cls, lon=None, lat=None, sog=None, cog=None) -> "Measurement":
-        vals = [lon, lat, sog, cog]
-        mask = np.array([v is not None for v in vals])
-        z = np.array([0.0 if v is None else float(v) for v in vals])
-        return cls(z, mask)
+        z = report_vector(lon, lat, sog, cog)
+        return cls(z, np.isfinite(z))
+
+
+def report_vector(lon, lat, sog, cog) -> np.ndarray:
+    """A report's fields in state order, nan where a filter does not use them:
+    a field is used when finite, a position only where Q is defined (|lat| < 90)."""
+    z = np.array([lon, lat, sog, cog], dtype=float)
+    if abs(z[1]) >= 90.0:
+        z[:2] = np.nan
+    return z
+
+
+def birth_prior(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The wide prior (mean, cov) that a new belief fuses its first report ``z`` into."""
+    return normalize_state(np.where(np.isfinite(z), z, 0.0)), INITIAL_COV
 
 
 @dataclass
@@ -219,12 +226,9 @@ class GeodeticUkf:
     @classmethod
     def from_first_measurement(cls, meas: Measurement,
                                timestamp: float = 0.0) -> "GeodeticUkf":
-        """Start a track from one report, fused with that report's own noise.
-
-        The mean equals the report; the fields it carries start at about R
-        and the missing ones keep the wide ``INITIAL_COV`` prior.
-        """
-        filt = cls(normalize_state(meas.z.copy()), INITIAL_COV, timestamp)
+        """Start a track from one report, fused into ``birth_prior`` with that
+        report's own noise: the fields it carries start at about R."""
+        filt = cls(*birth_prior(meas.z), timestamp)
         filt.update(meas)
         return filt
 

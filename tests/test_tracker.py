@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import random
 import time
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import make_ais_corpus as enc
 from geotrack import ukf
-from geotrack.ais import DynamicAisReport, StreamCounters, decode_lines
+from geotrack.ais import MAX_SIDECAR_TIME_S, DynamicAisReport, StreamCounters, decode_lines
 from geotrack.tracker import (DEFAULT_STALE_TIMEOUT_S, OUT_OF_ORDER_TOLERANCE_S, TrackTable,
                               replay)
 from geotrack.ukf import GeodeticUkf, Measurement
@@ -25,7 +26,7 @@ def report(mmsi, lon, lat, sog=7.0, cog=90.0, msg_type=1):
 
 
 def measurement(r):
-    """The masked measurement a table fuses for report ``r`` off the poles."""
+    """The masked measurement a table fuses for report ``r``."""
     return Measurement.from_fields(lon=r.lon, lat=r.lat, sog=r.sog, cog=r.cog)
 
 
@@ -60,12 +61,16 @@ class TestLifecycle:
         assert lat == pytest.approx(42.3)
 
     def test_positionless_first_report_skipped(self):
-        table = TrackTable()
-        r = report(222000222, None, None, sog=3.0, cog=10.0)
-        assert table.ingest(r, 0.0) == "skipped"
-        table.fuse()
-        assert table.rows == {} and not table.live.any()
-        assert table.skipped_reports == 1
+        # a position is used only when lon and lat are finite
+        for lon, lat in [(None, None), (math.nan, 42.3), (-71.0, math.nan),
+                         (math.inf, 42.3), (-math.inf, 42.3), (-71.0, math.inf),
+                         (-71.0, -math.inf)]:
+            table = TrackTable()
+            r = report(222000222, lon, lat, sog=3.0, cog=10.0)
+            assert table.ingest(r, 0.0) == "skipped"
+            table.fuse()
+            assert table.rows == {} and not table.live.any()
+            assert table.skipped_reports == 1
 
     def test_subsequent_report_updates(self):
         table = TrackTable()
@@ -209,23 +214,24 @@ class TestPrediction:
 class TestMeasurementMapping:
     def test_mask_follows_missing_fields(self):
         # a Class B report without SOG and COG, then a polar one whose
-        # position is dropped: each fuses only the fields it carries
-        first = DynamicAisReport(mmsi=1, msg_type=18, lon=-71.0, lat=42.3,
-                                 sog=None, cog=None, heading=220, timestamp_sec=5)
-        polar = DynamicAisReport(mmsi=1, msg_type=18, lon=-71.0, lat=90.0,
-                                 sog=4.0, cog=None, heading=None, timestamp_sec=None)
-        table = TrackTable()
-        table.ingest(first, 0.0)
-        table.ingest(polar, 1.0)
-        table.tick(1.0)
-
+        # position is dropped: each fuses only the fields it carries, and a
+        # field that is not finite is missing
         solo = GeodeticUkf.from_first_measurement(
             Measurement(np.array([-71.0, 42.3, 0.0, 0.0]), [True, True, False, False]),
             timestamp=0.0)
         solo.predict(1.0)
         solo.update(Measurement(np.array([0.0, 0.0, 4.0, 0.0]),
                                 [False, False, True, False]))
-        assert_same_belief(table, 1, solo)
+        for missing in (None, math.nan, math.inf, -math.inf):
+            first = DynamicAisReport(mmsi=1, msg_type=18, lon=-71.0, lat=42.3, sog=missing,
+                                     cog=missing, heading=220, timestamp_sec=5)
+            polar = DynamicAisReport(mmsi=1, msg_type=18, lon=-71.0, lat=90.0, sog=4.0,
+                                     cog=missing, heading=None, timestamp_sec=None)
+            table = TrackTable()
+            table.ingest(first, 0.0)
+            table.ingest(polar, 1.0)
+            table.tick(1.0)
+            assert_same_belief(table, 1, solo)
 
     def test_ingest_leaves_the_report_unchanged(self):
         table = TrackTable()
@@ -237,8 +243,13 @@ class TestMeasurementMapping:
             assert r == before
 
     def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            TrackTable(filter_rate_hz=0.0)
+        # only constructed: an inf-rate table would never finish a tick
+        for kwargs in [{"filter_rate_hz": 0.0}, {"filter_rate_hz": -1.0},
+                       {"filter_rate_hz": math.inf}, {"filter_rate_hz": math.nan},
+                       {"stale_timeout": 0.0}, {"stale_timeout": math.inf},
+                       {"stale_timeout": math.nan}]:
+            with pytest.raises(ValueError):
+                TrackTable(**kwargs)
 
 
 class TestStackedTick:
@@ -449,6 +460,19 @@ class TestReplay:
         times = [t for t, _ in replay(reports, TrackTable(filter_rate_hz=rate))]
         assert len(times) > 40 * rate
         assert times == [k / rate for k in range(len(times))]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     MAX_SIDECAR_TIME_S, -MAX_SIDECAR_TIME_S])
+    def test_time_outside_the_sidecar_rule_is_no_time(self, bad):
+        # a time the decoder would not take is stamped by the synthetic clock
+        reports = [report(366999784, -70.9, 42.0), report(211234560, -70.8, 42.1),
+                   report(366999784, -70.9, 42.001)]
+
+        def run(t):
+            table = TrackTable()
+            return [(t_tick, table.mmsi[rows].tolist(), table.filt.mean[rows].tolist())
+                    for t_tick, rows in replay([(t, r) for r in reports], table)]
+        assert run(bad) == run(None)
 
     def test_reports_stream_as_lines_arrive(self):
         pulled = []

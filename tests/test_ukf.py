@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geotrack._linalg import project_psd
 from geotrack.geodesy import GeoPoint, great_circle_inverse, propagate_sphere_arrays
 from geotrack.noise import build_process_noise, default_measurement_noise
 from geotrack.ukf import (
@@ -244,10 +245,12 @@ class TestInitialization:
         assert b.timestamp == 100.0
 
     def test_missing_fields_default(self):
-        z = Measurement.from_fields(lon=-70.5, lat=41.8)
-        b = GeodeticUkf.from_first_measurement(z).belief
-        assert b.mean.sog == 0.0
-        assert b.mean.cog == 0.0
+        # a field that is not finite is missing
+        for missing in (None, math.nan):
+            z = Measurement.from_fields(lon=-70.5, lat=41.8, sog=missing, cog=missing)
+            b = GeodeticUkf.from_first_measurement(z).belief
+            assert b.mean.sog == 0.0
+            assert b.mean.cog == 0.0
 
 
 class TestBirthRule:
@@ -350,3 +353,8 @@ class TestStackedPredict:
         b = belief(cov=np.full((4, 4), np.nan))
         with pytest.raises(FactorizationFailure):
             predict_arrays(b.mean.as_vector(), b.cov, 1.0, np.zeros((4, 4)))
+        for bad in (math.nan, math.inf):  # nor projected onto the PSD cone
+            cov = np.eye(4)
+            cov[2, 2] = bad
+            with pytest.raises(FactorizationFailure):
+                project_psd(np.stack([np.eye(4), cov]))

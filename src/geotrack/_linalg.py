@@ -38,15 +38,16 @@ class SingularInnovation(GeotrackError):
     """Innovation covariance not invertible (degenerate measurement noise)."""
 
 
-def masked_joseph_update(p: np.ndarray, residual: np.ndarray, mask: np.ndarray,
+def masked_joseph_update(p: np.ndarray, residual: np.ndarray,
                          r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joseph-form Kalman update for the direct measurement H = diag(mask), of
-    one belief or of each in a stack, with a mask per belief.
+    """Joseph-form Kalman update for the direct measurement H = diag(mask) of
+    one belief or of each in a stack, ``mask`` being where ``residual`` is finite.
 
-    ``residual`` is z - x with any angular wrapping already applied; masked-out
-    fields contribute none. Returns the state corrections and the posterior
+    ``residual`` is z - x with any angular wrapping already applied; a nan
+    field is not measured. Returns the state corrections and the posterior
     covariances.
     """
+    mask = np.isfinite(residual)
     r = np.asarray(r, dtype=float)
     eye = np.eye(p.shape[-1])
     h = mask[..., None] * eye

@@ -97,18 +97,13 @@ def planar_jacobian(x: list[float] | np.ndarray) -> np.ndarray:
 
 
 def measurement_to_planar(meas: Measurement, plane: TangentPlane) -> Measurement:
-    """Map a geodetic [lon, lat, SOG, COG deg] measurement into the NED frame.
-
-    Position requires both lon and lat to be present to project.
-    """
-    have_pos = bool(meas.mask[0] and meas.mask[1])
-    north = east = 0.0
-    if have_pos:
-        north, east = geodetic_to_ned(GeoPoint(meas.z[0], meas.z[1]), plane)
-    course = math.radians(meas.z[3]) if meas.mask[3] else 0.0
-    z = np.array([north, east, meas.z[2], course])
-    mask = np.array([have_pos, have_pos, bool(meas.mask[2]), bool(meas.mask[3])])
-    return Measurement(z, mask)
+    """Map a geodetic [lon, lat, SOG, COG deg] measurement into the NED frame;
+    a field not measured stays nan, and a position needs both lon and lat."""
+    lon, lat, sog, cog = meas.z.tolist()
+    north = east = math.nan
+    if math.isfinite(lon) and math.isfinite(lat):
+        north, east = geodetic_to_ned(GeoPoint(lon, lat), plane)
+    return Measurement([north, east, sog, math.radians(cog)])
 
 
 class PlanarEkf:
@@ -123,7 +118,8 @@ class PlanarEkf:
     @classmethod
     def from_first_measurement(cls, meas: Measurement,
                                plane: TangentPlane) -> "PlanarEkf":
-        return cls(measurement_to_planar(meas, plane).z, plane)
+        # a field the report does not measure starts at 0
+        return cls(np.nan_to_num(measurement_to_planar(meas, plane).z), plane)
 
     def predict(self, dt: float) -> np.ndarray:
         """Euler-discretized propagation with covariance Phi P Phi^T + Q dt."""
@@ -135,11 +131,11 @@ class PlanarEkf:
         return self.x
 
     def update(self, meas: Measurement) -> np.ndarray:
-        """Masked Joseph-form update with the measurement mapped onto the plane."""
+        """Joseph-form update of the fields ``meas`` measures, mapped onto the plane."""
         pm = measurement_to_planar(meas, self.plane)
         y = pm.z - self.x
         y[3] = (y[3] + math.pi) % (2.0 * math.pi) - math.pi
-        dx, self.p = masked_joseph_update(self.p, y, pm.mask, DEFAULT_R)
+        dx, self.p = masked_joseph_update(self.p, y, DEFAULT_R)
         self.x = self.x + dx
         return self.x
 

@@ -34,8 +34,10 @@ class TrajectorySegment:
     def __post_init__(self):
         if self.kind not in (STRAIGHT, TURN):
             raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.duration <= 0 or self.speed < 0:
-            raise ValueError("segment duration must be > 0 and speed >= 0")
+        if not (0 < self.duration < math.inf and 0 <= self.speed < math.inf
+                and math.isfinite(self.turn_rate)):
+            raise ValueError("segment duration must be > 0 and speed >= 0, and both "
+                             "and the turn rate finite")
         if (self.kind == TURN) != (self.turn_rate != 0):
             raise ValueError(f"{self.kind} at {self.turn_rate:g} deg/s: a straight has "
                              "no turn rate and a turn a nonzero one")
@@ -232,16 +234,14 @@ def run_comparisons(scenarios: list[Scenario]) -> list[ComparisonRun]:
         raise ValueError("scenarios must be one or more with one truth_rate_hz and n_steps")
     truths = [generate_truth(s) for s in scenarios]
     runs, n = len(scenarios), len(truths[0])
-    # the reports on the truth grid, masked off at the steps without one
-    z, mask = np.zeros((n, runs, 4)), np.zeros((n, runs, 4), dtype=bool)
+    # the reports on the truth grid, nan at the steps without one
+    z = np.full((n, runs, 4), np.nan)
     for r, (truth, s) in enumerate(zip(truths, scenarios)):
         z[::s.report_stride, r] = sample_ais(truth, s)
-        mask[::s.report_stride, r] = True
-    has = mask[..., 0].tolist()
-    ukf_z, ukf_mask = (z[:, 0], mask[:, 0]) if runs == 1 else (z, mask)
-    ukf = GeodeticUkf.from_first_measurement(Measurement(ukf_z[0], ukf_mask[0]))
-    ekfs = [PlanarEkf.from_first_measurement(Measurement(z[0, r], mask[0, r]),
-                                             TangentPlane(s.start))
+    has = np.isfinite(z).any(-1).tolist()
+    ukf_z = z[:, 0] if runs == 1 else z
+    ukf = GeodeticUkf.from_first_measurement(Measurement(ukf_z[0]))
+    ekfs = [PlanarEkf.from_first_measurement(Measurement(z[0, r]), TangentPlane(s.start))
             for r, s in enumerate(scenarios)]
 
     dt = 1.0 / scenarios[0].truth_rate_hz
@@ -251,13 +251,13 @@ def run_comparisons(scenarios: list[Scenario]) -> list[ComparisonRun]:
         if i:
             ukf.predict(dt)
             if any(has[i]):
-                ukf.update(Measurement(ukf_z[i], ukf_mask[i]))
+                ukf.update(Measurement(ukf_z[i]))
         ukf_est[:, i], ukf_cov[:, i] = ukf.mean, ukf.cov
         for r, ekf in enumerate(ekfs):
             if i:
                 ekf.predict(dt)
                 if has[i][r]:
-                    ekf.update(Measurement(z[i, r], mask[i, r]))
+                    ekf.update(Measurement(z[i, r]))
             pos = ekf.geodetic_position()
             ekf_est[r, i] = pos.lon, pos.lat, ekf.x[2], ekf.cog_deg
             ekf_cov[r, i] = ekf.p

@@ -84,6 +84,8 @@ class TrackTable:
     def ingest(self, report: DynamicAisReport, t: float) -> str:
         """Route one report and queue its ``ukf.report_vector`` for fusion;
         returns its event kind. A new track needs a position in that vector."""
+        if not math.isfinite(t):
+            raise ValueError(f"report time must be finite, got {t!r}")
         z = report_vector(report.lon, report.lat, report.sog, report.cog)
         row = self.rows.get(report.mmsi)
         if row is None:
@@ -145,11 +147,11 @@ class TrackTable:
                 continue
             rows, times, fields = map(np.array, zip(*batch))
             self._advance(rows, times)
+            live = self.live[rows]  # a row retired on the way takes no update
             z = np.full(self.filt.mean.shape, np.nan)
-            z[rows] = fields
-            # a row retired on the way to its report takes no update
-            self.filt.update(Measurement(z, np.isfinite(z) & self.live[:, None]))
-            self._retire_unhealthy(rows[self.live[rows]])
+            z[rows[live]] = fields[live]
+            self.filt.update(Measurement(z))
+            self._retire_unhealthy(rows[live])
 
     def tick(self, t: float) -> np.ndarray:
         """Fuse the queued reports, drop and count the tracks silent for longer

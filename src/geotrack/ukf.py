@@ -3,7 +3,7 @@
 Prediction pushes symmetric sigma points through a constant-velocity step
 along great circles of the mean-radius sphere;
 the measurement model is linear, so the update is a conventional Kalman step in
-Joseph form with per-field masking for incomplete reports.  ``GeodeticUkf``
+Joseph form over the finite fields of a report.  ``GeodeticUkf``
 holds one belief or a stack of them as arrays; a single belief is the stack
 without its axis.
 """
@@ -63,28 +63,33 @@ class GaussianBelief:
         return cls(GeodeticState(*mean.tolist()), np.array(cov), float(time))
 
 
-@dataclass
+@dataclass(init=False)
 class Measurement:
-    """4-vector in state order with a per-field availability mask.
+    """4-vector ``z`` in state order, nan at every field that is not measured.
 
-    Masked-out entries carry value 0 and contribute no residual.
+    ``Measurement(z, mask)`` measures a field where ``mask`` is true (by
+    default everywhere) and ``z`` is finite.
     """
     z: np.ndarray
-    mask: np.ndarray
 
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float).copy()
-        self.mask = np.asarray(self.mask, dtype=bool).copy()
-        self.z[~self.mask] = 0.0
+    def __init__(self, z, mask=True):
+        z = np.asarray(z, dtype=float)
+        self.z = np.where(np.isfinite(z) & np.asarray(mask, dtype=bool), z, np.nan)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Which fields are measured: a read-only view of ``isfinite(z)``."""
+        mask = np.isfinite(self.z)
+        mask.flags.writeable = False
+        return mask
 
     @classmethod
     def full(cls, lon: float, lat: float, sog: float, cog: float) -> "Measurement":
-        return cls(np.array([lon, lat, sog, cog]), np.ones(4, dtype=bool))
+        return cls([lon, lat, sog, cog])
 
     @classmethod
     def from_fields(cls, lon=None, lat=None, sog=None, cog=None) -> "Measurement":
-        z = report_vector(lon, lat, sog, cog)
-        return cls(z, np.isfinite(z))
+        return cls(report_vector(lon, lat, sog, cog))
 
 
 def report_vector(lon, lat, sog, cog) -> np.ndarray:
@@ -182,19 +187,19 @@ def normalize_state(mean: np.ndarray) -> np.ndarray:
     return mean
 
 
-def update_arrays(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, mask: np.ndarray,
+def update_arrays(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
                   r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joseph-form linear update of a stack of beliefs, each with its own
-    masked report; masked fields carry zero residual."""
+    report ``z``; a nan field of ``z`` is not measured and carries no residual."""
     y = z - mean
     y[..., ::3] = normalize_lon(y[..., ::3])  # lon and COG
-    dx, p_post = masked_joseph_update(symmetrize(cov), y, mask, r)
+    dx, p_post = masked_joseph_update(symmetrize(cov), y, r)
     return normalize_state(mean + dx), p_post
 
 
 def update(prior: GaussianBelief, meas: Measurement, r: np.ndarray) -> GaussianBelief:
-    """Joseph-form linear update with masked fields carrying zero residual."""
-    mean, cov = update_arrays(prior.mean.as_vector(), prior.cov, meas.z, meas.mask, r)
+    """Joseph-form linear update; a nan field of ``meas`` carries no residual."""
+    mean, cov = update_arrays(prior.mean.as_vector(), prior.cov, meas.z, r)
     return GaussianBelief.from_arrays(mean, cov, prior.timestamp)
 
 
@@ -213,8 +218,8 @@ class GeodeticUkf:
 
     ``mean`` is ``(..., 4)``, ``cov`` ``(..., 4, 4)`` and ``time`` ``(...)``;
     a single belief is the stack without its axis. ``predict`` and ``update``
-    step every belief at once, and a belief with a zero ``dt`` or an
-    all-false report mask is left untouched, bit for bit.
+    step every belief at once, and a belief with a zero ``dt`` or a report
+    that measures no field (all nan) is left untouched, bit for bit.
     """
 
     def __init__(self, mean, cov, time=0.0):
@@ -253,9 +258,10 @@ class GeodeticUkf:
 
     def update(self, meas: Measurement) -> None:
         """Fuse one report per belief; ``meas`` has the stack's shape."""
+        if meas.z.shape != self.mean.shape:
+            raise ValueError(f"report shape {meas.z.shape} != stack shape {self.mean.shape}")
         rows = _rows(meas.mask.any(-1))
         if rows is None:
             return
         self.mean[rows], self.cov[rows] = update_arrays(
-            self.mean[rows], self.cov[rows], meas.z[rows], meas.mask[rows],
-            MEASUREMENT_NOISE)
+            self.mean[rows], self.cov[rows], meas.z[rows], MEASUREMENT_NOISE)

@@ -161,11 +161,16 @@ class TestEkfUpdate:
         assert f.x[3] < 0.05
 
     def test_masked_states_untouched(self):
-        f = PlanarEkf([1.0, 2.0, 5.0, 0.3], PLANE)
-        f.p = np.diag([1.0, 1.0, 1.0, 1.0])
-        f.update(planar_fix(10.0, 20.0, 0.0, 0.0, [True, True, False, False]))
-        assert f.x[2] == pytest.approx(5.0, abs=1e-12)
-        assert f.x[3] == pytest.approx(0.3, abs=1e-12)
+        # a field that is masked, or not finite under a true mask, is not measured
+        fix = planar_fix(10.0, 20.0, 0.0, 0.0, [True, True, False, False])
+        lon, lat = fix.z[:2]
+        for z in [fix] + [Measurement([lon, lat, bad, bad], [True] * 4)
+                          for bad in (math.nan, math.inf, -math.inf)]:
+            f = PlanarEkf([1.0, 2.0, 5.0, 0.3], PLANE)
+            f.p = np.diag([1.0, 1.0, 1.0, 1.0])
+            f.update(z)
+            assert f.x[2] == pytest.approx(5.0, abs=1e-12)
+            assert f.x[3] == pytest.approx(0.3, abs=1e-12)
 
 
 class TestMeasurementMapping:
@@ -179,10 +184,10 @@ class TestMeasurementMapping:
         assert pm.z[3] == pytest.approx(math.radians(123.0), rel=1e-12)
 
     def test_position_requires_both_coordinates(self):
-        z = Measurement.from_fields(lon=-71.0, sog=3.0)
-        pm = measurement_to_planar(z, PLANE)
-        assert not pm.mask[0] and not pm.mask[1]
-        assert pm.mask[2]
+        for z in (Measurement.from_fields(lon=-71.0, sog=3.0),
+                  Measurement([-71.0, math.nan, 3.0, math.nan], [True] * 4)):
+            pm = measurement_to_planar(z, PLANE)
+            assert pm.mask.tolist() == [False, False, True, False]
 
 
 class TestPlanarEkfDefaults:

@@ -287,10 +287,12 @@ class TestScenarioFiles:
             parse_scenario("start_lon = -71\nstart_lat = 42\n")  # no segments
 
     def test_invalid_segments_rejected(self):
-        with pytest.raises(ValueError):
-            TrajectorySegment("zigzag", 10.0, 5.0)
-        with pytest.raises(ValueError):
-            TrajectorySegment(STRAIGHT, -1.0, 5.0)
+        for segment in [("zigzag", 10.0, 5.0), (STRAIGHT, -1.0, 5.0),
+                        (STRAIGHT, math.nan, 5.0), (STRAIGHT, math.inf, 5.0),
+                        (STRAIGHT, 10.0, math.nan), (STRAIGHT, 10.0, math.inf),
+                        (TURN, 10.0, 5.0, math.nan), (TURN, 10.0, 5.0, math.inf)]:
+            with pytest.raises(ValueError):
+                TrajectorySegment(*segment)
 
     @pytest.mark.parametrize("segment", [(STRAIGHT, 10.0, 5.0, 3.0), (TURN, 10.0, 5.0)],
                              ids=["straight-with-rate", "turn-without-rate"])

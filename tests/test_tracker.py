@@ -117,6 +117,13 @@ class TestLifecycle:
         table.ingest(report(1, -71.0, 42.301), 110.0)
         assert table.ingest(report(1, -71.0, 42.3005), 105.0) == "dropped_stale"
         assert table.stale_drops == 1
+        # a time that is not finite is no report time, for a known or a new vessel
+        for mmsi in (1, 2):
+            for t in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError):
+                    table.ingest(report(mmsi, -71.0, 42.3), t)
+        assert list(table.rows) == [1] and table.stale_drops == 1
+        assert track(table, 1).last_seen == 110.0
 
     def test_slightly_late_report_accepted(self):
         # reports inside the tolerance window fuse without rewinding time

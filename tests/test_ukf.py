@@ -162,10 +162,21 @@ class TestUpdate:
 
     def test_all_masked_is_identity(self):
         b = belief()
-        z = Measurement(np.zeros(4), np.zeros(4, dtype=bool))
-        out = update(b, z, R_DEFAULT)
-        assert np.allclose(out.mean.as_vector(), b.mean.as_vector(), atol=0.0)
-        assert np.allclose(out.cov, b.cov, atol=1e-12)
+        for z in (Measurement(np.zeros(4), np.zeros(4, dtype=bool)),
+                  Measurement(np.full(4, math.nan))):
+            out = update(b, z, R_DEFAULT)
+            assert np.allclose(out.mean.as_vector(), b.mean.as_vector(), atol=0.0)
+            assert np.allclose(out.cov, b.cov, atol=1e-12)
+
+    def test_report_shape_must_match_the_stack(self):
+        # one report is not fused into every belief of a stack
+        mean = np.array([[-60.0, 40.0, 5.0, 90.0], [10.0, 10.0, 5.0, 90.0],
+                         [-70.0, 42.0, 5.0, 90.0]])
+        filt = GeodeticUkf(mean, INITIAL_COV)
+        for z in (Measurement.full(-70.0, 42.0, 5.0, 90.0), Measurement(np.zeros((2, 4)))):
+            with pytest.raises(ValueError):
+                filt.update(z)
+        assert np.array_equal(filt.mean, mean)
 
     def test_cog_seam_update(self):
         b = belief(cog=1.0)
@@ -245,10 +256,15 @@ class TestInitialization:
         assert b.timestamp == 100.0
 
     def test_missing_fields_default(self):
-        # a field that is not finite is missing
-        for missing in (None, math.nan):
-            z = Measurement.from_fields(lon=-70.5, lat=41.8, sog=missing, cog=missing)
+        # a field that is not finite is missing, under a true mask too
+        reports = [Measurement.from_fields(lon=-70.5, lat=41.8, sog=missing, cog=missing)
+                   for missing in (None, math.nan)]
+        reports += [Measurement([-70.5, 41.8, missing, missing], [True] * 4)
+                    for missing in (math.nan, math.inf, -math.inf)]
+        for z in reports:
+            assert z.mask.tolist() == [True, True, False, False]
             b = GeodeticUkf.from_first_measurement(z).belief
+            assert b.mean.as_vector()[:2] == pytest.approx([-70.5, 41.8])
             assert b.mean.sog == 0.0
             assert b.mean.cog == 0.0
 

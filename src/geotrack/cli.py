@@ -207,7 +207,7 @@ def _sphere_error_block(seed: int, start: int, count: int,
     # log-uniform distance so the filter's short-arc regime is well represented
     distance = np.exp(rng.uniform(np.log(1.0), np.log(max_distance), count))
     s_lon, s_lat = geodesy.propagate_sphere_arrays(lon, lat, bearing, distance)
-    v_lon, v_lat, _, _ = geodesy.vincenty_direct_arrays(lon, lat, bearing, distance)
+    v_lon, v_lat, _ = geodesy.vincenty_direct_arrays(lon, lat, bearing, distance)
     # meters per degree on WGS84 at the destination: meridional radius M(phi)
     # along latitude, N(phi) cos(phi) along longitude
     phi = np.radians(v_lat)

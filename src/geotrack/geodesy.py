@@ -15,6 +15,7 @@ MEAN_EARTH_RADIUS_M = 6.371e6
 WGS84_SEMI_MAJOR_M = 6378137.0
 WGS84_FLATTENING = 1.0 / 298.257223563
 WGS84_E2 = WGS84_FLATTENING * (2.0 - WGS84_FLATTENING)  # first eccentricity squared
+_WGS84_SEMI_MINOR_M = WGS84_SEMI_MAJOR_M * (1.0 - WGS84_FLATTENING)
 
 VINCENTY_TOL_RAD = 1e-12
 VINCENTY_MAX_ITER = 200
@@ -55,6 +56,8 @@ class GeoPoint:
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
             raise DomainError(f"latitude {self.lat} outside [-90, 90]")
+        if not math.isfinite(self.lon):
+            raise DomainError(f"longitude {self.lon} is not finite")
         object.__setattr__(self, "lon", normalize_lon(self.lon))
 
 
@@ -107,72 +110,77 @@ def great_circle_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
 # Vincenty direct / inverse (ellipsoid)
 # ---------------------------------------------------------------------------
 
+def _series_a_b(cos2_alpha):
+    """Vincenty's A and B from cos²α (floats or arrays)."""
+    a, b = WGS84_SEMI_MAJOR_M, _WGS84_SEMI_MINOR_M
+    u2 = cos2_alpha * (a * a - b * b) / (b * b)
+    big_a = 1.0 + (u2 / 16384.0) * (4096.0 + u2 * (-768.0 + u2 * (320.0 - 175.0 * u2)))
+    big_b = (u2 / 1024.0) * (256.0 + u2 * (-128.0 + u2 * (74.0 - 47.0 * u2)))
+    return big_a, big_b
+
+
+def _delta_sigma(big_b, sin_s, cos_s, cos_2sm):
+    """Vincenty's Δσ: the ellipsoid's correction to the auxiliary-sphere arc σ."""
+    return big_b * sin_s * (cos_2sm + (big_b / 4.0) * (
+        cos_s * (-1.0 + 2.0 * cos_2sm ** 2)
+        - (big_b / 6.0) * cos_2sm * (-3.0 + 4.0 * sin_s ** 2)
+        * (-3.0 + 4.0 * cos_2sm ** 2)))
+
+
+def _lon_correction(sin_alpha, cos2_alpha, sigma, sin_s, cos_s, cos_2sm):
+    """λ - L, the auxiliary sphere's longitude difference less the ellipsoid's:
+    (1 - C) f sin α (σ + C sin σ (cos 2σm + C cos σ (2 cos² 2σm - 1)))."""
+    f = WGS84_FLATTENING
+    c = (f / 16.0) * cos2_alpha * (4.0 + f * (4.0 - 3.0 * cos2_alpha))
+    return (1.0 - c) * f * sin_alpha * (
+        sigma + c * sin_s * (cos_2sm + c * cos_s * (-1.0 + 2.0 * cos_2sm ** 2)))
+
+
 def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
-    """Vectorized Vincenty direct problem on WGS84.
+    """Vectorized Vincenty direct problem on WGS84: (lon, lat, final_bearing) in degrees."""
+    lon1, lat1, alpha1, s = np.broadcast_arrays(*(
+        np.asarray(x, dtype=float) for x in (lon_deg, lat_deg, bearing_deg, distance_m)))
+    lat1, alpha1 = np.radians(lat1), np.radians(alpha1)
 
-    Returns (lon, lat, final_bearing, iterations) in degrees; iterations is the
-    per-element count before |dsigma| < 1e-12.
-    """
-    lon1 = np.asarray(lon_deg, dtype=float)
-    lat1 = np.radians(np.asarray(lat_deg, dtype=float))
-    alpha1 = np.radians(np.asarray(bearing_deg, dtype=float))
-    s = np.asarray(distance_m, dtype=float)
-    lon1, lat1, alpha1, s = np.broadcast_arrays(lon1, lat1, alpha1, s)
-
-    a, f = WGS84_SEMI_MAJOR_M, WGS84_FLATTENING
-    b = a * (1.0 - f)
-    tan_u1 = (1.0 - f) * np.tan(lat1)
+    tan_u1 = (1.0 - WGS84_FLATTENING) * np.tan(lat1)
     cos_u1 = 1.0 / np.sqrt(1.0 + tan_u1 ** 2)
     sin_u1 = tan_u1 * cos_u1
 
     sigma1 = np.arctan2(tan_u1, np.cos(alpha1))
     sin_alpha = cos_u1 * np.sin(alpha1)
     cos2_alpha = 1.0 - sin_alpha ** 2
-    u2 = cos2_alpha * (a * a - b * b) / (b * b)
-    big_a = 1.0 + (u2 / 16384.0) * (4096.0 + u2 * (-768.0 + u2 * (320.0 - 175.0 * u2)))
-    big_b = (u2 / 1024.0) * (256.0 + u2 * (-128.0 + u2 * (74.0 - 47.0 * u2)))
+    big_a, big_b = _series_a_b(cos2_alpha)
 
-    sigma = s / (b * big_a)
-    iters = np.zeros(sigma.shape, dtype=int)
+    sigma = sigma0 = s / (_WGS84_SEMI_MINOR_M * big_a)
     active = np.ones(sigma.shape, dtype=bool)
-    cos_2sm = np.cos(2.0 * sigma1 + sigma)
-    for _ in range(VINCENTY_MAX_ITER):
-        cos_2sm = np.where(active, np.cos(2.0 * sigma1 + sigma), cos_2sm)
-        sin_s, cos_s = np.sin(sigma), np.cos(sigma)
-        dsigma = big_b * sin_s * (cos_2sm + (big_b / 4.0) * (
-            cos_s * (-1.0 + 2.0 * cos_2sm ** 2)
-            - (big_b / 6.0) * cos_2sm * (-3.0 + 4.0 * sin_s ** 2)
-            * (-3.0 + 4.0 * cos_2sm ** 2)))
-        sigma_new = s / (b * big_a) + dsigma
-        delta = np.abs(sigma_new - sigma)
-        sigma = np.where(active, sigma_new, sigma)
-        iters = iters + active.astype(int)
-        active = active & (delta > VINCENTY_TOL_RAD)
+    # each element stops at its own |dsigma| < tol; one more pass takes the final values
+    for updates in range(VINCENTY_MAX_ITER + 1):
+        sin_s, cos_s, cos_2sm = np.sin(sigma), np.cos(sigma), np.cos(2.0 * sigma1 + sigma)
         if not active.any():
             break
-    else:
-        raise NonConvergenceError("Vincenty direct did not converge")
+        if updates == VINCENTY_MAX_ITER:
+            raise NonConvergenceError("Vincenty direct did not converge")
+        sigma_new = sigma0 + _delta_sigma(big_b, sin_s, cos_s, cos_2sm)
+        delta = np.abs(sigma_new - sigma)
+        sigma = np.where(active, sigma_new, sigma)
+        active = active & (delta > VINCENTY_TOL_RAD)
 
-    sin_s, cos_s = np.sin(sigma), np.cos(sigma)
-    cos_2sm = np.cos(2.0 * sigma1 + sigma)
     tmp = sin_u1 * sin_s - cos_u1 * cos_s * np.cos(alpha1)
     lat2 = np.arctan2(sin_u1 * cos_s + cos_u1 * sin_s * np.cos(alpha1),
-                      (1.0 - f) * np.sqrt(sin_alpha ** 2 + tmp ** 2))
+                      (1.0 - WGS84_FLATTENING) * np.sqrt(sin_alpha ** 2 + tmp ** 2))
     lam = np.arctan2(sin_s * np.sin(alpha1),
                      cos_u1 * cos_s - sin_u1 * sin_s * np.cos(alpha1))
-    c = (f / 16.0) * cos2_alpha * (4.0 + f * (4.0 - 3.0 * cos2_alpha))
-    dlon = lam - (1.0 - c) * f * sin_alpha * (
-        sigma + c * sin_s * (cos_2sm + c * cos_s * (-1.0 + 2.0 * cos_2sm ** 2)))
+    dlon = lam - _lon_correction(sin_alpha, cos2_alpha, sigma, sin_s, cos_s, cos_2sm)
     lon2 = normalize_lon(lon1 + np.degrees(dlon))
     alpha2 = np.degrees(np.arctan2(sin_alpha, -tmp)) % 360.0
-    return lon2, np.degrees(lat2), alpha2, iters
+    return lon2, np.degrees(lat2), alpha2
 
 
 def vincenty_direct(p: GeoPoint, bearing_deg: float, distance_m: float) -> GeodesicSolution:
     """Solve the direct geodesic problem on the ellipsoid; sub-millimeter accuracy."""
     if distance_m < 0:
         raise DomainError("distance must be nonnegative")
-    lon2, lat2, alpha2, _ = vincenty_direct_arrays(p.lon, p.lat, bearing_deg, distance_m)
+    lon2, lat2, alpha2 = vincenty_direct_arrays(p.lon, p.lat, bearing_deg, distance_m)
     return GeodesicSolution(GeoPoint(float(lon2), float(lat2)), float(alpha2))
 
 
@@ -182,55 +190,42 @@ def vincenty_inverse(p1: GeoPoint, p2: GeoPoint) -> tuple[float, float]:
     Raises NonConvergenceError for near-antipodal pairs; callers fall back to
     :func:`great_circle_inverse`.
     """
-    a, f = WGS84_SEMI_MAJOR_M, WGS84_FLATTENING
-    b = a * (1.0 - f)
-
     lat1, lat2 = math.radians(p1.lat), math.radians(p2.lat)
     dlon = math.radians(normalize_lon(p2.lon - p1.lon))
-    u1 = math.atan((1.0 - f) * math.tan(lat1))
-    u2 = math.atan((1.0 - f) * math.tan(lat2))
+    u1 = math.atan((1.0 - WGS84_FLATTENING) * math.tan(lat1))
+    u2 = math.atan((1.0 - WGS84_FLATTENING) * math.tan(lat2))
     sin_u1, cos_u1 = math.sin(u1), math.cos(u1)
     sin_u2, cos_u2 = math.sin(u2), math.cos(u2)
 
     if abs(dlon) < 1e-15 and abs(lat1 - lat2) < 1e-15:
         return 0.0, 0.0
 
-    lam = dlon
-    for _ in range(VINCENTY_MAX_ITER):
+    # each pass takes σ from λ; the pass after λ converges takes the final σ
+    lam, lam_old = dlon, math.inf
+    for updates in range(VINCENTY_MAX_ITER + 1):
         sin_lam, cos_lam = math.sin(lam), math.cos(lam)
         sin_sigma = math.sqrt((cos_u2 * sin_lam) ** 2
                               + (cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam) ** 2)
-        if sin_sigma == 0.0:
-            return 0.0, 0.0
         cos_sigma = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
         sigma = math.atan2(sin_sigma, cos_sigma)
+        if abs(lam - lam_old) < VINCENTY_TOL_RAD:
+            break
+        if updates == VINCENTY_MAX_ITER:
+            raise NonConvergenceError("Vincenty inverse did not converge (near-antipodal?)")
+        if sin_sigma == 0.0:
+            return 0.0, 0.0
         sin_alpha = cos_u1 * cos_u2 * sin_lam / sin_sigma
         cos2_alpha = 1.0 - sin_alpha ** 2
         # 0 on an equatorial line
         cos_2sm = 0.0 if cos2_alpha == 0.0 else cos_sigma - 2.0 * sin_u1 * sin_u2 / cos2_alpha
-        c = (f / 16.0) * cos2_alpha * (4.0 + f * (4.0 - 3.0 * cos2_alpha))
-        lam_old = lam
-        lam = dlon + (1.0 - c) * f * sin_alpha * (
-            sigma + c * sin_sigma * (cos_2sm + c * cos_sigma * (-1.0 + 2.0 * cos_2sm ** 2)))
-        if abs(lam - lam_old) < VINCENTY_TOL_RAD:
-            break
-    else:
-        raise NonConvergenceError("Vincenty inverse did not converge (near-antipodal?)")
+        lam_old, lam = lam, dlon + _lon_correction(sin_alpha, cos2_alpha, sigma,
+                                                   sin_sigma, cos_sigma, cos_2sm)
 
-    uu2 = cos2_alpha * (a * a - b * b) / (b * b)
-    big_a = 1.0 + (uu2 / 16384.0) * (4096.0 + uu2 * (-768.0 + uu2 * (320.0 - 175.0 * uu2)))
-    big_b = (uu2 / 1024.0) * (256.0 + uu2 * (-128.0 + uu2 * (74.0 - 47.0 * uu2)))
-    sin_lam, cos_lam = math.sin(lam), math.cos(lam)
-    sin_sigma = math.sqrt((cos_u2 * sin_lam) ** 2
-                          + (cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam) ** 2)
-    cos_sigma = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
-    sigma = math.atan2(sin_sigma, cos_sigma)
+    # the last pass's cos²α with the final σ, as Vincenty's closing step takes them
     cos_2sm = 0.0 if cos2_alpha == 0.0 else cos_sigma - 2.0 * sin_u1 * sin_u2 / cos2_alpha
-    dsigma = big_b * sin_sigma * (cos_2sm + (big_b / 4.0) * (
-        cos_sigma * (-1.0 + 2.0 * cos_2sm ** 2)
-        - (big_b / 6.0) * cos_2sm * (-3.0 + 4.0 * sin_sigma ** 2)
-        * (-3.0 + 4.0 * cos_2sm ** 2)))
-    distance = b * big_a * (sigma - dsigma)
+    big_a, big_b = _series_a_b(cos2_alpha)
+    distance = _WGS84_SEMI_MINOR_M * big_a * (
+        sigma - _delta_sigma(big_b, sin_sigma, cos_sigma, cos_2sm))
     bearing = math.degrees(math.atan2(cos_u2 * sin_lam,
                                       cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam))
     return distance, wrap_bearing(bearing)

@@ -63,6 +63,8 @@ class Scenario:
     def __post_init__(self):
         if not self.truth_rate_hz > 0:
             raise ValueError("truth_rate_hz must be positive")
+        if not math.isfinite(self.initial_cog):
+            raise ValueError(f"initial_cog must be finite, got {self.initial_cog}")
         # reports are sampled on the truth grid, every report_stride steps
         steps = self.ais_interval * self.truth_rate_hz
         if not (math.isfinite(steps) and self.report_stride >= 1

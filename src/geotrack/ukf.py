@@ -243,8 +243,10 @@ class GeodeticUkf:
         return GaussianBelief.from_arrays(self.mean, self.cov, self.time)
 
     def predict(self, dt) -> None:
-        """Step each belief by its own ``dt`` seconds (broadcast over the stack)."""
+        """Step each belief by its own finite ``dt`` seconds (broadcast over the stack)."""
         dt = np.asarray(dt, dtype=float)
+        if not np.isfinite(dt).all():
+            raise ValueError("dt must be finite")
         if dt.shape != self.time.shape:
             dt = np.broadcast_to(dt, self.time.shape)
         rows = _rows(dt > 0.0)

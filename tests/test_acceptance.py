@@ -73,7 +73,7 @@ class TestAcceptance:
         lat = np.clip(lat, -85.0, 85.0)
         bearing = rng.uniform(0.0, 360.0, n)
         dist = rng.uniform(10.0, 2e6, n)
-        d_lon, d_lat, _, _ = geodesy.vincenty_direct_arrays(lon, lat, bearing, dist)
+        d_lon, d_lat, _ = geodesy.vincenty_direct_arrays(lon, lat, bearing, dist)
         worst_rel = 0.0
         for i in range(n):
             try:

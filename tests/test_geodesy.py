@@ -11,6 +11,7 @@ from geotrack.geodesy import (
     DomainError,
     GeoPoint,
     MEAN_EARTH_RADIUS_M,
+    NonConvergenceError,
     great_circle_inverse,
     normalize_lon,
     propagate_sphere_arrays,
@@ -21,6 +22,7 @@ from geotrack.geodesy import (
     vincenty_inverse,
     wrap_bearing,
 )
+from geotrack.sim import _position_error_m
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 R = MEAN_EARTH_RADIUS_M
@@ -50,6 +52,11 @@ class TestGeoPoint:
     def test_lat_bounds(self):
         with pytest.raises(DomainError):
             GeoPoint(0.0, 90.5)
+
+    def test_lon_must_be_finite(self):
+        for lon in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="longitude"):
+                GeoPoint(lon, 42.0)
 
     def test_normalize_lon_half_open(self):
         assert normalize_lon(180.0) == -180.0
@@ -166,13 +173,23 @@ class TestVincenty:
         lat = np.degrees(np.arcsin(rng.uniform(-0.98, 0.98, n)))
         brg = rng.uniform(0, 360, n)
         dist = np.exp(rng.uniform(np.log(1.0), np.log(3.0e6), n))
-        dlon, dlat, _, _ = vincenty_direct_arrays(lon, lat, brg, dist)
+        dlon, dlat, _ = vincenty_direct_arrays(lon, lat, brg, dist)
         for i in range(0, n, 37):
             d_back, b_back = vincenty_inverse(GeoPoint(lon[i], lat[i]),
                                               GeoPoint(dlon[i], dlat[i]))
             assert d_back == pytest.approx(dist[i], rel=1e-9, abs=1e-6)
             db = (b_back - brg[i] + 180.0) % 360.0 - 180.0
             assert abs(db) < 1e-6 or dist[i] < 1.0
+
+    @given(st.lists(st.tuples(lons, lats, bearings, st.floats(0.0, 1.9e7)),
+                    min_size=1, max_size=8))
+    def test_direct_arrays_match_elementwise(self, rows):
+        # each element stops iterating on its own, so its batch changes no bit
+        lon, lat, brg, dist = map(np.array, zip(*rows))
+        batch = vincenty_direct_arrays(lon, lat, brg, dist)
+        for i, row in enumerate(rows):
+            alone = np.array(vincenty_direct_arrays(*row))
+            assert np.array([out[i] for out in batch]).tobytes() == alone.tobytes()
 
     def test_against_ode_oracle_vectors(self):
         with open(os.path.join(DATA_DIR, "geodesic_vectors.json")) as fh:
@@ -190,6 +207,17 @@ class TestVincenty:
         # one degree of the equator on WGS84
         assert d == pytest.approx(111319.4908, abs=1e-3)
         assert b == pytest.approx(90.0, abs=1e-9)
+
+    def test_inverse_coincident_points(self):
+        for p in (GeoPoint(-71.0, 42.0), GeoPoint(0.0, 90.0), GeoPoint(-180.0, -90.0)):
+            assert vincenty_inverse(p, p) == (0.0, 0.0)
+        assert vincenty_inverse(GeoPoint(180.0, 10.0), GeoPoint(-180.0, 10.0)) == (0.0, 0.0)
+
+    def test_inverse_antipodal_raises_and_scoring_falls_back(self):
+        p1, p2 = GeoPoint(0.0, 0.0), GeoPoint(180.0, 0.0)
+        with pytest.raises(NonConvergenceError):
+            vincenty_inverse(p1, p2)
+        assert _position_error_m(0.0, 0.0, 180.0, 0.0) == great_circle_inverse(p1, p2)[0]
 
     def test_inverse_symmetric(self):
         p1 = GeoPoint(-71.0, 42.0)

@@ -300,10 +300,14 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="a straight has no turn rate"):
             TrajectorySegment(*segment)
 
-    @pytest.mark.parametrize("fields", [
-        dict(sog_noise=-0.1), dict(cog_noise=-1.0), dict(meas_noise=(0.0, 0.0, -0.05, 0.0)),
-        dict(truth_rate_hz=1e300), dict(segments=())],
-        ids=["sog-noise", "cog-noise", "meas-noise", "too-many-steps", "no-segments"])
-    def test_invalid_scenarios_rejected(self, fields):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("fields, match", [
+        (dict(sog_noise=-0.1), "noise"), (dict(cog_noise=-1.0), "noise"),
+        (dict(meas_noise=(0.0, 0.0, -0.05, 0.0)), "noise"),
+        (dict(truth_rate_hz=1e300), "truth steps"), (dict(segments=()), "truth steps"),
+        (dict(initial_cog=math.nan), "initial_cog"), (dict(initial_cog=math.inf), "initial_cog"),
+        (dict(initial_cog=-math.inf), "initial_cog")],
+        ids=["sog-noise", "cog-noise", "meas-noise", "too-many-steps", "no-segments",
+             "nan-cog", "inf-cog", "minus-inf-cog"])
+    def test_invalid_scenarios_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
             replace(straight_scenario(), **fields)

@@ -118,6 +118,21 @@ class TestPredict:
         filt.predict(2.5)
         assert filt.belief.timestamp == 7.5
 
+    def test_non_finite_dt_rejected(self):
+        # a dt <= 0 leaves its belief as it is; a dt that is not finite is an error
+        b = belief()
+        single = GeodeticUkf(b.mean.as_vector(), b.cov)
+        stack = GeodeticUkf(np.tile(b.mean.as_vector(), (3, 1)), b.cov)
+        for dt in (math.nan, math.inf, -math.inf):
+            for filt, step in ((single, dt), (stack, [1.0, dt, 1.0]), (stack, dt)):
+                with pytest.raises(ValueError, match="dt"):
+                    filt.predict(step)
+        assert single.time == 0.0 and np.array_equal(single.mean, b.mean.as_vector())
+        assert np.array_equal(stack.time, np.zeros(3))
+        stack.predict([1.0, 0.0, -1.0])
+        assert np.array_equal(stack.time, [1.0, 0.0, 0.0])
+        assert np.array_equal(stack.mean[1:], np.tile(b.mean.as_vector(), (2, 1)))
+
     def test_monte_carlo_push_forward_oracle(self):
         """Unscented moments vs a large direct sample of the process model."""
         cov = np.diag([1e-10, 1e-10, 0.04, 4.0])

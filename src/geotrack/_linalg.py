@@ -49,16 +49,14 @@ def masked_joseph_update(p: np.ndarray, residual: np.ndarray,
     """
     mask = np.isfinite(residual)
     r = np.asarray(r, dtype=float)
-    eye = np.eye(p.shape[-1])
-    h = mask[..., None] * eye
-    ht = h.swapaxes(-1, -2)
-    innov_cov = h @ p @ ht + r
+    cols = mask[..., None, :]  # P Hᵀ keeps the measured columns of P, H P the rows
+    innov_cov = np.where(mask[..., :, None] & cols, p, 0.0) + r
     try:
         innov_inv = np.linalg.inv(innov_cov)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation("innovation covariance is singular") from exc
     y = np.where(mask, residual, 0.0)
-    k = p @ ht @ innov_inv
-    ikh = eye - k @ h
+    k = np.where(cols, p, 0.0) @ innov_inv
+    ikh = np.eye(p.shape[-1]) - np.where(cols, k, 0.0)
     p_post = ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2)
     return (k @ y[..., None])[..., 0], symmetrize(p_post)

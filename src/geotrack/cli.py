@@ -112,6 +112,16 @@ def _csv_row(report) -> tuple:
             report.draught)
 
 
+def _dynamic_line(r: DynamicAisReport) -> str:
+    """``_csv_row(r)`` as ``csv.writer`` writes it: a float as its ``repr``, an int
+    as its ``str``, None as an empty field; a number is never quoted."""
+    lon, lat, sog, cog, heading, ts = r.lon, r.lat, r.sog, r.cog, r.heading, r.timestamp_sec
+    return (f"dynamic,{r.mmsi},{r.msg_type},{'' if lon is None else repr(lon)},"
+            f"{'' if lat is None else repr(lat)},{'' if sog is None else repr(sog)},"
+            f"{'' if cog is None else repr(cog)},{'' if heading is None else heading},"
+            f"{'' if ts is None else ts},,,,,,,,\n")
+
+
 # The columns a JSONL record of each kind holds, in ``_DECODE_CSV_COLUMNS``
 # order: a record leaves out the columns its kind never fills.
 _JSONL_COLUMNS = {"dynamic": _DECODE_CSV_COLUMNS[:9],
@@ -130,9 +140,13 @@ def cmd_decode(args) -> int:
         if args.format == "jsonl":
             dst.writelines(_jsonl_record(report) + "\n" for _, report in reports)
         else:
-            writer = csv.writer(dst, lineterminator="\n")
+            writer = csv.writer(dst, lineterminator="\n")  # a type 5 name may need quotes
             writer.writerow(_DECODE_CSV_COLUMNS)
-            writer.writerows(_csv_row(report) for _, report in reports)
+            for _, report in reports:
+                if isinstance(report, DynamicAisReport):
+                    dst.write(_dynamic_line(report))
+                else:
+                    writer.writerow(_csv_row(report))
     print(f"lines={counters.lines} decoded={counters.decoded} "
           f"malformed={counters.malformed} unsupported={counters.unsupported}",
           file=sys.stderr)
@@ -180,12 +194,9 @@ def cmd_simulate(args) -> int:
     rows = np.column_stack([truth.t, truth.state, ukf.est, ekf.est, ukf.err_pos_m,
                             ekf.err_pos_m, ukf.sigma3_m])
     with _open_output(args.output) as dst:
-        writer = csv.writer(dst, lineterminator="\n")
-        writer.writerow(["t", "truth_lon", "truth_lat", "truth_sog", "truth_cog",
-                         "ukf_lon", "ukf_lat", "ukf_sog", "ukf_cog",
-                         "ekf_lon", "ekf_lat", "ekf_sog", "ekf_cog",
-                         "err_ukf_m", "err_ekf_m", "sigma3_m"])
-        writer.writerows(rows.tolist())
+        dst.write("t,truth_lon,truth_lat,truth_sog,truth_cog,ukf_lon,ukf_lat,ukf_sog,"
+                  "ukf_cog,ekf_lon,ekf_lat,ekf_sog,ekf_cog,err_ukf_m,err_ekf_m,sigma3_m\n")
+        dst.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
     for label, metrics in (("ukf", run.ukf_metrics), ("ekf", run.ekf_metrics)):
         print(f"{label}: rmse_lon={metrics.rmse_lon:.3e} rmse_lat={metrics.rmse_lat:.3e} "
               f"rmse_sog={metrics.rmse_sog:.3f} rmse_cog={metrics.rmse_cog:.3f} "

@@ -172,7 +172,7 @@ def vincenty_direct_arrays(lon_deg, lat_deg, bearing_deg, distance_m):
                      cos_u1 * cos_s - sin_u1 * sin_s * np.cos(alpha1))
     dlon = lam - _lon_correction(sin_alpha, cos2_alpha, sigma, sin_s, cos_s, cos_2sm)
     lon2 = normalize_lon(lon1 + np.degrees(dlon))
-    alpha2 = np.degrees(np.arctan2(sin_alpha, -tmp)) % 360.0
+    alpha2 = wrap_bearing(np.degrees(np.arctan2(sin_alpha, -tmp)))
     return lon2, np.degrees(lat2), alpha2
 
 

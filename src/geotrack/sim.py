@@ -15,7 +15,8 @@ import numpy as np
 
 from .ekf import PlanarEkf, TangentPlane
 from .geodesy import (MEAN_EARTH_RADIUS_M, GeoPoint, great_circle_inverse, normalize_lon,
-                      propagate_sphere_arrays, vincenty_inverse, NonConvergenceError)
+                      propagate_sphere_arrays, vincenty_inverse, wrap_bearing,
+                      NonConvergenceError)
 from .noise import (MEAS_STD_COG_DEG, MEAS_STD_LAT_DEG, MEAS_STD_LON_DEG, MEAS_STD_SOG_MPS,
                     METERS_PER_DEGREE)
 from .ukf import GeodeticUkf, Measurement
@@ -115,7 +116,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
     seg_idx = 0
     seg_time_left = segments[0].duration
     lon, lat = scenario.start.lon, scenario.start.lat
-    course = scenario.initial_cog % 360.0
+    course = wrap_bearing(scenario.initial_cog)
 
     t = np.arange(n) * dt
     state = np.empty((n, 4))
@@ -125,7 +126,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
         jitter_s = rng.normal(0.0, scenario.sog_noise) if scenario.sog_noise else 0.0
         jitter_c = rng.normal(0.0, scenario.cog_noise) if scenario.cog_noise else 0.0
         speed = max(0.0, seg.speed + jitter_s)
-        course_used = (course + jitter_c) % 360.0
+        course_used = wrap_bearing(course + jitter_c)
 
         state[k] = lon, lat, speed, course_used
 
@@ -139,7 +140,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
             tau = remaining if last_segment and seg_time_left < remaining \
                 else min(remaining, seg_time_left)
             speed = max(0.0, seg.speed + jitter_s)
-            course_used = (course + jitter_c) % 360.0
+            course_used = wrap_bearing(course + jitter_c)
             dist = speed * tau
             # arrival bearing of the great circle from this start, bearing and arc
             phi, theta = math.radians(lat), math.radians(course_used)
@@ -148,7 +149,7 @@ def generate_truth(scenario: Scenario) -> TruthTrajectory:
                 math.sin(theta) * math.cos(phi),
                 math.cos(phi) * math.cos(c) * math.cos(theta) - math.sin(phi) * math.sin(c)))
             lon, lat = propagate_sphere_arrays(lon, lat, course_used, dist)
-            course = (arrival - jitter_c + seg.turn_rate * tau) % 360.0
+            course = wrap_bearing(arrival - jitter_c + seg.turn_rate * tau)
             remaining -= tau
             seg_time_left -= tau
             if seg_time_left <= 1e-12 and seg_idx + 1 < len(segments):
@@ -164,7 +165,7 @@ def sample_ais(truth: TruthTrajectory, scenario: Scenario) -> np.ndarray:
     z = truth.state[::scenario.report_stride]
     z = z + rng.normal(0.0, scenario.meas_noise, z.shape)
     z[:, 2] = np.maximum(0.0, z[:, 2])
-    z[:, 3] %= 360.0
+    z[:, 3] = wrap_bearing(z[:, 3])
     return z
 
 

@@ -156,8 +156,8 @@ def _weighted_mean(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     dlon = normalize_lon(points[..., 0] - points[..., :1, 0])
     mean[..., 0] = normalize_lon(points[..., 0, 0] + _weighted_sum(weights, dlon))
     cog = np.radians(points[..., 3])
-    mean[..., 3] = np.degrees(np.arctan2(_weighted_sum(weights, np.sin(cog)),
-                                         _weighted_sum(weights, np.cos(cog)))) % 360.0
+    mean[..., 3] = wrap_bearing(np.degrees(np.arctan2(_weighted_sum(weights, np.sin(cog)),
+                                                      _weighted_sum(weights, np.cos(cog)))))
     return mean
 
 
@@ -172,9 +172,7 @@ def predict_arrays(mean: np.ndarray, cov: np.ndarray, dt, q: np.ndarray
     res = transformed - mean[..., None, :]
     res[..., ::3] = normalize_lon(res[..., ::3])  # lon and COG
     cov = (sp.weights[:, None] * res).swapaxes(-1, -2) @ res + q
-    # lon is wrapped and course in [0, 360]: clip SOG and map a course of 360 to 0
-    np.maximum(0.0, mean[..., 2], out=mean[..., 2])
-    mean[..., 3] %= 360.0
+    np.maximum(0.0, mean[..., 2], out=mean[..., 2])  # lon and course are wrapped
     return mean, project_psd(cov)
 
 

@@ -109,23 +109,44 @@ class TestDecode:
         assert all("mmsi" in r for r in records)
 
     def test_name_with_comma_is_quoted(self, tmp_path, capsys):
-        bits = enc.encode_type5(440292000, 9674907, "D7WQ", "ALPHA,BRAVO", 70,
+        bits = enc.encode_type5(440292000, 9674907, "D7WQ", 'ALPHA,"B" BRAVO', 70,
                                 199, 33, 12, 20, 1, 98, "BOSTON")
         payload, fill = enc.armor_bits(bits)
+        dynamic = TestTrack.timed_report(0.0, 366999784, 42.0).split(",", 1)[1]
         feed = tmp_path / "type5.nmea"
-        feed.write_text(enc.sentence(2, 1, 3, "A", payload[:60], 0) + "\n"
-                        + enc.sentence(2, 2, 3, "A", payload[60:], fill) + "\n")
+        feed.write_text(dynamic + enc.sentence(2, 1, 3, "A", payload[:60], 0) + "\n"
+                        + enc.sentence(2, 2, 3, "A", payload[60:], fill) + "\n" + dynamic)
         out = tmp_path / "decoded.csv"
         code, _, err = run_cli(["decode", "-i", str(feed), "-o", str(out)], capsys)
         assert code == EXIT_OK
-        assert "decoded=1" in err
+        assert "decoded=3" in err
+        # the dynamic lines and the quoted row, in feed order, as csv.writer writes them
+        with open(feed) as fh:
+            reports = [r for _, r in decode_lines(fh)]
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([_DECODE_CSV_COLUMNS,
+                                                         *map(_csv_row, reports)])
+        assert out.read_text() == want.getvalue()
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
-        assert None not in rows[0]  # no field spilled past the header
-        assert rows[0]["name"] == "ALPHA,BRAVO"
-        assert rows[0]["type_code"] == "70"
-        assert rows[0]["draught_m"] == "9.8"
+        assert [row["kind"] for row in rows] == ["dynamic", "static", "dynamic"]
+        assert None not in rows[1]  # no field spilled past the header
+        assert rows[1]["name"] == 'ALPHA,"B" BRAVO'
+        assert rows[1]["type_code"] == "70"
+        assert rows[1]["draught_m"] == "9.8"
+
+    # a missing field, a float whose repr is signed or in exponent form, or any float
+    OPTIONAL_FLOAT = (st.none() | st.sampled_from((-0.0, 0.0, 1e16, 5e-324, -181.0))
+                      | st.floats())
+
+    @given(mmsi=st.integers(0, 2 ** 30 - 1), msg_type=st.sampled_from((1, 2, 3, 18, 19)),
+           floats=st.lists(OPTIONAL_FLOAT, min_size=4, max_size=4),
+           heading=st.none() | st.integers(0, 511), ts=st.none() | st.integers(0, 63))
+    def test_dynamic_line_is_what_csv_writer_writes(self, mmsi, msg_type, floats, heading, ts):
+        report = DynamicAisReport(mmsi, msg_type, *floats, heading, ts)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(_csv_row(report))
+        assert cli._dynamic_line(report) == buf.getvalue()
 
     def test_csv_row_holds_the_jsonl_fields_in_column_order(self, tmp_path, capsys):
         out = tmp_path / "decoded.jsonl"

@@ -191,6 +191,13 @@ class TestVincenty:
             alone = np.array(vincenty_direct_arrays(*row))
             assert np.array([out[i] for out in batch]).tobytes() == alone.tobytes()
 
+    def test_final_bearing_just_west_of_north_wraps_to_zero(self):
+        # a tiny negative bearing modulo 360 rounds to 360.0, which is north
+        assert vincenty_direct(GeoPoint(-71.0, 42.0), -1e-20, 5000.0).final_bearing == 0.0
+        _, _, final = vincenty_direct_arrays(np.full(2, -71.0), np.full(2, 42.0),
+                                             np.array([-1e-20, -5e-324]), np.full(2, 5000.0))
+        assert final.tolist() == [0.0, 0.0]
+
     def test_against_ode_oracle_vectors(self):
         with open(os.path.join(DATA_DIR, "geodesic_vectors.json")) as fh:
             vectors = json.load(fh)

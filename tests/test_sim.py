@@ -76,6 +76,11 @@ class TestTruthGeneration:
         cross_track_m = MEAN_EARTH_RADIUS_M * np.abs(np.arcsin(normal @ far))
         assert cross_track_m.max() < 1e-6
 
+    def test_course_jittered_around_north_stays_below_360(self):
+        sc = straight_scenario(duration=60.0, cog=0.0, sog_noise=0.0, cog_noise=1e-20)
+        cog = generate_truth(sc).state[:, 3]
+        assert ((cog >= 0.0) & (cog < 360.0)).all(), cog
+
     def test_half_turn_reverses_course(self):
         # 180 deg at 1 deg/s: the final course is the initial course + 180
         sc = noiseless(Scenario(
@@ -109,6 +114,12 @@ class TestAisSampling:
         sc = noiseless(straight_scenario(duration=60.0, ais_interval=4.0))
         truth = generate_truth(sc)
         assert np.array_equal(sample_ais(truth, sc), truth.state[::4])
+
+    def test_reported_course_around_north_stays_below_360(self):
+        sc = straight_scenario(duration=60.0, cog=0.0, sog_noise=0.0, cog_noise=0.0,
+                               meas_noise=(0.0, 0.0, 0.0, 1e-20))
+        cog = sample_ais(generate_truth(sc), sc)[:, 3]
+        assert ((cog >= 0.0) & (cog < 360.0)).all(), cog
 
     def test_noise_statistics(self):
         sc = straight_scenario(duration=3000.0, ais_interval=3.0)

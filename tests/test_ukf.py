@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geotrack._linalg import project_psd
+from geotrack._linalg import SingularInnovation, masked_joseph_update, project_psd, symmetrize
 from geotrack.geodesy import GeoPoint, great_circle_inverse, propagate_sphere_arrays
 from geotrack.noise import build_process_noise, default_measurement_noise
 from geotrack.ukf import (
@@ -236,6 +236,40 @@ class TestJosephHealth:
             p = filt.belief.cov
             assert np.max(np.abs(p - p.T)) < 1e-12
             assert np.linalg.eigvalsh(p)[0] >= -1e-9
+
+    @staticmethod
+    def h_form_update(p, residual, r):
+        """The Joseph update with H = diag(mask) built and multiplied out."""
+        mask = np.isfinite(residual)
+        eye = np.eye(p.shape[-1])
+        h = mask[..., None] * eye
+        ht = h.swapaxes(-1, -2)
+        k = p @ ht @ np.linalg.inv(h @ p @ ht + r)
+        ikh = eye - k @ h
+        p_post = ikh @ p @ ikh.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2)
+        y = np.where(mask, residual, 0.0)
+        return (k @ y[..., None])[..., 0], symmetrize(p_post)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(), (1,), (5,)]))
+    def test_masked_update_equals_the_h_form(self, seed, stack):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=stack + (4, 4)) * 10.0 ** rng.integers(-6, 4)
+        # a covariance, a signed and indefinite symmetric matrix, or neither
+        p = (a @ a.swapaxes(-1, -2), symmetrize(a), a)[seed % 3]
+        p = np.where(rng.random(p.shape) < 0.2, -0.0, p)
+        residual = rng.normal(size=stack + (4,))
+        residual[rng.random(residual.shape) < 0.4] = np.nan
+        r = np.diag(rng.random(4) + 1e-3)
+        if seed % 2:
+            r[r == 0.0] = -0.0
+        try:
+            want = self.h_form_update(p, residual, r)
+        except np.linalg.LinAlgError:
+            with pytest.raises(SingularInnovation):
+                masked_joseph_update(p, residual, r)
+            return
+        got = masked_joseph_update(p, residual, r)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 class TestAngularRotationInvariance:
